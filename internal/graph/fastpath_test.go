@@ -9,6 +9,8 @@ package graph
 // planners.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -34,6 +36,69 @@ func randomTestGraph(t *testing.T, seed int64, n, extra int) *Graph {
 		}
 	}
 	return g
+}
+
+// gridTestGraph builds a rows×cols grid: every interior pair has many
+// equal-hop shortest paths, so it stresses tie-breaking the way random
+// graphs (few equal-hop ties) do not.
+func gridTestGraph(t *testing.T, rows, cols int) *Graph {
+	t.Helper()
+	g := New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			v := NodeID(r*cols + c)
+			if c+1 < cols {
+				if _, err := g.AddEdge(v, v+1, 10, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r+1 < rows {
+				if _, err := g.AddEdge(v, v+NodeID(cols), 10, 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// edgeDisjointShortestReference is the generic EDS: repeated
+// ShortestPath under a weight that is 1 per hop and +Inf on edges already
+// extracted.
+func edgeDisjointShortestReference(g *Graph, src, dst NodeID, k int) []Path {
+	pf := NewPathFinder(g)
+	taken := map[EdgeID]bool{}
+	w := func(e Edge, _ NodeID) float64 {
+		if taken[e.ID] {
+			return math.Inf(1)
+		}
+		return 1
+	}
+	var out []Path
+	for len(out) < k {
+		p, ok := pf.ShortestPath(src, dst, w)
+		if !ok {
+			break
+		}
+		out = append(out, p)
+		for _, eid := range p.Edges {
+			taken[eid] = true
+		}
+	}
+	return out
+}
+
+// samePaths reports the first index where want and got differ, or -1.
+func samePaths(want, got []Path) int {
+	for i := range want {
+		if i >= len(got) || !pathsEqual(want[i], got[i]) {
+			return i
+		}
+	}
+	if len(got) > len(want) {
+		return len(want)
+	}
+	return -1
 }
 
 func pathsEqual(a, b Path) bool {
@@ -102,28 +167,62 @@ func TestUnitShortestPathsMultiMatchesSingle(t *testing.T) {
 }
 
 func TestKShortestPathsUnitMatchesGeneric(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		g := randomTestGraph(t, seed+20, 80, 160)
+	check := func(t *testing.T, name string, g *Graph, rng *rand.Rand, queries, k int) {
+		t.Helper()
 		pfGeneric := NewPathFinder(g)
 		pfUnit := NewPathFinder(g)
-		rng := rand.New(rand.NewSource(seed + 2000))
-		for q := 0; q < 40; q++ {
+		for q := 0; q < queries; q++ {
 			src := NodeID(rng.Intn(g.NumNodes()))
 			dst := NodeID(rng.Intn(g.NumNodes()))
 			if src == dst {
 				continue
 			}
-			want := pfGeneric.KShortestPaths(src, dst, 4, UnitWeight)
-			got := pfUnit.KShortestPathsUnit(src, dst, 4)
-			if len(want) != len(got) {
-				t.Fatalf("seed %d %d->%d: %d vs %d paths", seed, src, dst, len(want), len(got))
-			}
-			for i := range want {
-				if !pathsEqual(want[i], got[i]) {
-					t.Fatalf("seed %d %d->%d path %d:\ngeneric %v\nunit    %v", seed, src, dst, i, want[i], got[i])
-				}
+			want := pfGeneric.KShortestPaths(src, dst, k, UnitWeight)
+			got := pfUnit.KShortestPathsUnit(src, dst, k)
+			if i := samePaths(want, got); i >= 0 {
+				t.Fatalf("%s %d->%d k=%d: first difference at path %d\ngeneric %v\nunit    %v", name, src, dst, k, i, want, got)
 			}
 		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		g := randomTestGraph(t, seed+20, 80, 160)
+		check(t, fmt.Sprintf("random seed %d", seed), g, rand.New(rand.NewSource(seed+2000)), 40, 4)
+	}
+	// Grids: many equal-hop alternatives per spur, the case an early exit
+	// in the spur search could reorder.
+	grid := gridTestGraph(t, 6, 7)
+	for k := 1; k <= 8; k++ {
+		check(t, "grid", grid, rand.New(rand.NewSource(int64(k)+2100)), 15, k)
+	}
+}
+
+// TestEdgeDisjointShortestPathsMatchesGeneric pins EDS extraction (the
+// unit fast path with a banned edge set) path-for-path against the generic
+// Dijkstra with +Inf weights on extracted edges.
+func TestEdgeDisjointShortestPathsMatchesGeneric(t *testing.T) {
+	check := func(t *testing.T, name string, g *Graph, rng *rand.Rand, queries, k int) {
+		t.Helper()
+		pf := NewPathFinder(g)
+		for q := 0; q < queries; q++ {
+			src := NodeID(rng.Intn(g.NumNodes()))
+			dst := NodeID(rng.Intn(g.NumNodes()))
+			if src == dst {
+				continue
+			}
+			want := edgeDisjointShortestReference(g, src, dst, k)
+			got := pf.EdgeDisjointShortestPaths(src, dst, k)
+			if i := samePaths(want, got); i >= 0 {
+				t.Fatalf("%s %d->%d k=%d: first difference at path %d\ngeneric %v\nfinder  %v", name, src, dst, k, i, want, got)
+			}
+		}
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		g := randomTestGraph(t, seed+60, 100, 250)
+		check(t, fmt.Sprintf("random seed %d", seed), g, rand.New(rand.NewSource(seed+4000)), 40, 4)
+	}
+	grid := gridTestGraph(t, 6, 7)
+	for k := 1; k <= 4; k++ {
+		check(t, "grid", grid, rand.New(rand.NewSource(int64(k)+4100)), 20, k)
 	}
 }
 

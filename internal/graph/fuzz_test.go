@@ -11,7 +11,10 @@
 //     head equal to the plain shortest path;
 //   - the allocation-free PathFinder fast paths agree with the baseline
 //     Graph algorithms (cost-level equivalence; tie-breaks may differ only
-//     in equal-cost paths).
+//     in equal-cost paths);
+//   - the unit-weight Yen and EDS fast paths return exactly the paths of
+//     their generic references (KShortestPaths under UnitWeight; repeated
+//     ShortestPath with +Inf on extracted edges), ties included.
 //
 // Seed corpora live in testdata/fuzz; CI runs a short -fuzz smoke over both
 // targets.
@@ -194,6 +197,16 @@ func FuzzKShortestPaths(f *testing.F) {
 		}
 		k := int(kRaw%7) + 1
 		pf := NewPathFinder(g)
+
+		// Path-for-path identity of the unit fast paths against their
+		// generic references: a tie-order change fails here even when
+		// every property below still holds.
+		if want, got := pf.KShortestPaths(src, dst, k, UnitWeight), pf.KShortestPathsUnit(src, dst, k); samePaths(want, got) >= 0 {
+			t.Fatalf("KShortestPathsUnit differs from KShortestPaths(UnitWeight):\ngeneric %v\nunit    %v", want, got)
+		}
+		if want, got := edgeDisjointShortestReference(g, src, dst, k), pf.EdgeDisjointShortestPaths(src, dst, k); samePaths(want, got) >= 0 {
+			t.Fatalf("EdgeDisjointShortestPaths differs from the generic reference:\ngeneric %v\nfinder  %v", want, got)
+		}
 
 		for _, tc := range []struct {
 			name  string

@@ -223,7 +223,8 @@ func (pf *PathFinder) shortestUnit(src, dst NodeID, banEdges, banNodes bool) (Pa
 }
 
 // runUnit executes the unit Dijkstra, leaving the prev tree in the scratch
-// arrays; it reports whether dst was reached.
+// arrays; it reports whether dst was reached. The banned variant returns as
+// soon as dst is first relaxed; the clean variant runs until dst pops.
 func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 	pf.begin()
 	pf.g.csrEnsure()
@@ -293,6 +294,15 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 				prevEdge[v] = eid
 				prevNode[v] = u
 				state[v] = sd
+				if v == dst {
+					// First sight is final: pops are non-decreasing in
+					// hops, so every later relaxation offers du'+1 >=
+					// du+1 and the strict < never fires; u and its prev
+					// chain are already finalized. Stopping here yields
+					// the prev tree the full run would (Yen spur
+					// searches and EDS extraction).
+					return true
+				}
 				pf.uheap.push(v, nd)
 			}
 		}

@@ -12,7 +12,9 @@ import (
 // at random. The policy owns the τ-stale balance snapshot its max-flow runs
 // against (source routers only learn balances from the periodic gossip);
 // the precomputed mice paths live in the network's shared RouteCache under
-// their (KSP, FlashMicePaths) key.
+// their (KSP, FlashMicePaths) key and are looked up through planRoutes, so
+// speculative workers warm them. Elephants never plan on a worker: the
+// snapshot and the balances are committer-only state.
 type flashPolicy struct {
 	basePolicy
 	view *graph.Graph
@@ -37,6 +39,12 @@ func (p *flashPolicy) OnTick(n *Network) {
 
 func (p *flashPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, error) {
 	if tx.Value > n.cfg.FlashElephantThreshold {
+		if n.specCtx != nil {
+			// Speculative worker: elephants read balance state (the gossip
+			// snapshot, or live balances for the bootstrap view), so they
+			// plan serially on the committer only.
+			return nil, nil, nil
+		}
 		// Plan on the τ-stale gossip snapshot when available: the live view
 		// is used before the first refresh tick, and when an endpoint joined
 		// the network after the snapshot was taken (the joiner bootstraps
@@ -64,7 +72,7 @@ func (p *flashPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocati
 		return paths, allocs, nil
 	}
 	key := RouteKey{Src: tx.Sender, Dst: tx.Recipient, Type: routing.KSP, K: n.cfg.FlashMicePaths}
-	paths, err := n.Routes().GetOrCompute(key, func() ([]graph.Path, error) {
+	paths, err := n.planRoutes(key, func() ([]graph.Path, error) {
 		return n.kShortestPathsUnit(tx.Sender, tx.Recipient, n.cfg.FlashMicePaths), nil
 	})
 	if err != nil {
@@ -76,3 +84,7 @@ func (p *flashPolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocati
 	idx := int(n.nextTUID) % len(paths)
 	return paths, []Allocation{{PathIdx: idx, Value: tx.Value}}, nil
 }
+
+// SpeculationSafe: mice plans speculate; elephants plan on the committer
+// only (see Plan and SpeculativePlanner).
+func (p *flashPolicy) SpeculationSafe() bool { return true }

@@ -14,13 +14,16 @@ import (
 // The discrete-event engine stays single-threaded: event ordering, channel
 // state, HTLC locking, rate control and metrics all remain exactly the
 // serial simulator. What parallelizes is the part the PR 4 profile showed
-// dominating big cells — route planning. For every scheme except Flash,
+// dominating big cells — route planning. For most payments,
 // SchemePolicy.Plan is a pure function of the routed topology (static edge
 // capacities, hub assignments, config, and the payment endpoints): live
 // channel balances never feed into path selection, and every topology
 // mutation funnels through Network.InvalidateRoutes. That purity is what
 // makes speculation sound, and policies opt into it explicitly via the
-// SpeculativePlanner marker.
+// SpeculativePlanner marker. A policy whose plan for some payments does
+// read balance state (Flash's elephants, planned by max-flow on the gossip
+// snapshot) skips those payments on a worker shadow; they plan serially on
+// the committer exactly as in a serial run.
 //
 // Shape: when a run is armed (Config.Parallelism >= 2, exact routing, a
 // marker-bearing policy), every payment handed to ScheduleArrival/Arrive is
@@ -51,14 +54,17 @@ import (
 // space is a DAG: composed routes depend on transit legs, never the
 // reverse), so pausing cannot deadlock.
 
-// SpeculativePlanner marks a SchemePolicy whose Plan is a pure function of
-// the routed topology and may therefore run speculatively on a worker
-// against a shadow Network. Implementations promise that Plan (including
-// everything reachable from it) never reads live channel balances, never
-// mutates policy or network state shared beyond the RouteCache funnel, and
-// routes every cached computation through Network.planRoutes. Flash does
-// not qualify: its elephant paths read the τ-stale balance view and its
-// mice path choice consumes per-payment state.
+// SpeculativePlanner marks a SchemePolicy whose Plan may run speculatively
+// on a worker against a shadow Network (one with a non-nil specCtx).
+// Implementations promise that Plan on a shadow (including everything
+// reachable from it) never reads live channel balances or balance
+// snapshots, never mutates policy or network state shared beyond the
+// RouteCache funnel, and routes every cached computation through
+// Network.planRoutes. A payment whose plan would read balance state is
+// skipped on the shadow (Plan returns without planning) and plans serially
+// on the committer. The shadow's plan result is discarded, so per-payment
+// choices made from the shadow's own fields (Flash's TU-counter path pick)
+// are harmless.
 type SpeculativePlanner interface {
 	SpeculationSafe() bool
 }

@@ -2,6 +2,7 @@ package pcn
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
@@ -52,8 +53,8 @@ func resultsEqual(a, b Result) bool {
 }
 
 // TestSpeculativePlanningMatchesSerial is the package-level byte-identity
-// check: every scheme — the five speculation-safe ones and Flash, whose
-// arming request must gate off to a no-op — produces a deeply equal Result
+// check: every scheme (all six are speculation-safe; Flash's elephants plan
+// on the committer only) produces a deeply equal Result
 // (including the RouteCacheHits/Misses arithmetic that flows into panel
 // CSVs) with 4 planning workers as with none. The scenario-level golden
 // conformance twin covers the full CSV pipeline; this one localizes a
@@ -91,67 +92,94 @@ func TestSpeculationGatesOffUnderHubLabels(t *testing.T) {
 // TestSpeculationQuiescesForMutations drives mid-run channel mutations (the
 // dynamics entry points) against an armed network and checks the run still
 // matches serial byte-for-byte — the pause/invalidate path, not just the
-// static fast path.
+// static fast path. Flash runs with its elephant threshold at the trace's
+// median value, so speculated mice and committer-only elephants interleave
+// with its τ-tick balance refreshes and the mutations.
 func TestSpeculationQuiescesForMutations(t *testing.T) {
-	run := func(workers int) Result {
-		g, trace := testGraphAndTrace(t, 13, 60, 50, 4)
-		cfg := NewConfig(SchemeSplicer)
-		cfg.Parallelism = workers
-		n, err := NewNetwork(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		horizon := trace[len(trace)-1].Deadline + 1
-		if err := n.BeginRun(horizon); err != nil {
-			t.Fatal(err)
-		}
-		for i := range trace {
-			if err := n.ScheduleArrival(trace[i]); err != nil {
-				t.Fatal(err)
+	for _, scheme := range []Scheme{SchemeSplicer, SchemeFlash} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			serial := runChurned(t, scheme, 0)
+			parallel := runChurned(t, scheme, 4)
+			if !resultsEqual(serial, parallel) {
+				t.Errorf("parallel churn run diverged from serial\nserial:   %+v\nparallel: %+v", serial, parallel)
 			}
+		})
+	}
+}
+
+// runChurned runs scheme over a fixed trace with three mid-run topology
+// mutations (a close, a top-up, an open) and the given planning-worker
+// count.
+func runChurned(t *testing.T, scheme Scheme, workers int) Result {
+	t.Helper()
+	g, trace := testGraphAndTrace(t, 13, 60, 50, 4)
+	cfg := NewConfig(scheme)
+	cfg.Parallelism = workers
+	if scheme == SchemeFlash {
+		values := make([]float64, len(trace))
+		for i, tx := range trace {
+			values[i] = tx.Value
 		}
-		// Interleave topology churn with the payment stream: close a
-		// channel early, top one up mid-run, open a fresh one late. Each
-		// invalidates the caches and must quiesce in-flight speculation.
-		if err := n.At(0.8, func() {
-			if !n.Channel(0).Closed() {
-				if err := n.CloseChannel(0); err != nil {
-					t.Error(err)
-				}
-			}
-		}); err != nil {
+		sort.Float64s(values)
+		cfg.FlashElephantThreshold = values[len(values)/2]
+		if cfg.FlashElephantThreshold >= values[len(values)-1] {
+			t.Fatalf("Flash trace has no elephants above the median value %v", cfg.FlashElephantThreshold)
+		}
+	}
+	n, err := NewNetwork(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := trace[len(trace)-1].Deadline + 1
+	if err := n.BeginRun(horizon); err != nil {
+		t.Fatal(err)
+	}
+	for i := range trace {
+		if err := n.ScheduleArrival(trace[i]); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.At(1.7, func() {
-			if !n.Channel(3).Closed() {
-				if err := n.TopUpChannel(3, 50, 50); err != nil {
-					t.Error(err)
-				}
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.At(2.5, func() {
-			if _, err := n.OpenChannel(graph.NodeID(5), graph.NodeID(40), 120, 120); err != nil {
+	}
+	// Interleave topology churn with the payment stream: close a
+	// channel early, top one up mid-run, open a fresh one late. Each
+	// invalidates the caches and must quiesce in-flight speculation.
+	if err := n.At(0.8, func() {
+		if !n.Channel(0).Closed() {
+			if err := n.CloseChannel(0); err != nil {
 				t.Error(err)
 			}
-		}); err != nil {
-			t.Fatal(err)
 		}
-		res, err := n.Execute(horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers >= 2 {
-			if st := n.SpeculationStats(); st.Pauses == 0 {
-				t.Fatalf("mutations ran without quiescing the pool: %+v", st)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.At(1.7, func() {
+		if !n.Channel(3).Closed() {
+			if err := n.TopUpChannel(3, 50, 50); err != nil {
+				t.Error(err)
 			}
 		}
-		return res
+	}); err != nil {
+		t.Fatal(err)
 	}
-	serial := run(0)
-	parallel := run(4)
-	if !resultsEqual(serial, parallel) {
-		t.Errorf("parallel churn run diverged from serial\nserial:   %+v\nparallel: %+v", serial, parallel)
+	if err := n.At(2.5, func() {
+		if _, err := n.OpenChannel(graph.NodeID(5), graph.NodeID(40), 120, 120); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
+	res, err := n.Execute(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workers >= 2 {
+		st := n.SpeculationStats()
+		if st.Workers != workers {
+			t.Fatalf("%v: speculation pool not armed: %+v", scheme, st)
+		}
+		if st.Pauses == 0 {
+			t.Fatalf("%v: mutations ran without quiescing the pool: %+v", scheme, st)
+		}
+		t.Logf("%v: speculation stats %+v", scheme, st)
+	}
+	return res
 }
