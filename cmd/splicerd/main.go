@@ -8,6 +8,10 @@
 //	curl 'localhost:8080/plan?src=3&dst=4821&value=250'
 //	curl 'localhost:8080/topology/stats'
 //
+// Requests the daemon cannot bound answer 400: k above 32, src equal to
+// dst, and a /plan value that is not finite or would split into more than
+// 4096 transaction units.
+//
 // SIGINT/SIGTERM trigger a graceful stop: the HTTP listener closes, new
 // queries are refused with 503, in-flight queries get -drain-timeout to
 // finish, and the process exits with no pinned epoch left behind.

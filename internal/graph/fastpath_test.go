@@ -119,24 +119,30 @@ func pathsEqual(a, b Path) bool {
 }
 
 func TestUnitShortestPathMatchesGeneric(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		g := randomTestGraph(t, seed, 120, 240)
+	check := func(t *testing.T, name string, g *Graph, rng *rand.Rand) {
+		t.Helper()
 		pfGeneric := NewPathFinder(g)
 		pfUnit := NewPathFinder(g)
-		rng := rand.New(rand.NewSource(seed + 1000))
 		for q := 0; q < 200; q++ {
 			src := NodeID(rng.Intn(g.NumNodes()))
 			dst := NodeID(rng.Intn(g.NumNodes()))
 			want, okW := pfGeneric.ShortestPath(src, dst, UnitWeight)
 			got, okG := pfUnit.UnitShortestPath(src, dst)
 			if okW != okG {
-				t.Fatalf("seed %d %d->%d: ok mismatch generic=%v unit=%v", seed, src, dst, okW, okG)
+				t.Fatalf("%s %d->%d: ok mismatch generic=%v unit=%v", name, src, dst, okW, okG)
 			}
 			if okW && !pathsEqual(want, got) {
-				t.Fatalf("seed %d %d->%d:\ngeneric %v\nunit    %v", seed, src, dst, want, got)
+				t.Fatalf("%s %d->%d:\ngeneric %v\nunit    %v", name, src, dst, want, got)
 			}
 		}
 	}
+	for seed := int64(0); seed < 4; seed++ {
+		g := randomTestGraph(t, seed, 120, 240)
+		check(t, fmt.Sprintf("random seed %d", seed), g, rand.New(rand.NewSource(seed+1000)))
+	}
+	// Grids: many equal-hop shortest paths per pair, the case the clean
+	// loop's first-sight exit could break ties differently on.
+	check(t, "grid", gridTestGraph(t, 6, 7), rand.New(rand.NewSource(1100)))
 }
 
 func TestUnitShortestPathsMultiMatchesSingle(t *testing.T) {

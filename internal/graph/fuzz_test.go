@@ -115,7 +115,9 @@ func FuzzPathFinder(f *testing.F) {
 		}
 		pf := NewPathFinder(g)
 
-		// Unit shortest path vs BFS hop distance.
+		// Unit shortest path vs BFS hop distance, and path for path vs the
+		// generic Dijkstra under unit weights (the fast path's tie-break
+		// contract).
 		hops := g.BFSHops(src)
 		p, ok := pf.UnitShortestPath(src, dst)
 		if (hops[dst] >= 0) != ok {
@@ -126,6 +128,9 @@ func FuzzPathFinder(f *testing.F) {
 			if p.Len() != hops[dst] {
 				t.Fatalf("UnitShortestPath length %d != BFS distance %d", p.Len(), hops[dst])
 			}
+		}
+		if gp, gok := pf.ShortestPath(src, dst, UnitWeight); gok != ok || (ok && !pathsEqual(gp, p)) {
+			t.Fatalf("UnitShortestPath %v/%v != generic unit Dijkstra %v/%v", p, ok, gp, gok)
 		}
 
 		// A hub-label tier rooted at src must serve a byte-identical answer

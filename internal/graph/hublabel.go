@@ -192,12 +192,14 @@ func (hl *HubLabels) ensureTree(hi int) *hubTree {
 	return t
 }
 
-// buildTree runs a full-expansion unit Dijkstra from the hub. The push and
-// pop sequence is identical to PathFinder.runUnit's clean variant on the
-// same graph (same packed heap, same relaxation outcomes: in unit Dijkstra
-// a seen node is never improved, so "unseen" — dist < 0 — is the whole
-// relaxation condition), which is what makes served paths byte-identical
-// to the finder's.
+// buildTree runs a full-expansion unit Dijkstra from the hub. Up to the
+// point where PathFinder.runUnit's clean variant stops (the first
+// relaxation of its dst), the push and pop sequence is identical to it on
+// the same graph (same packed heap, same relaxation outcomes: in unit
+// Dijkstra a seen node is never improved, so "unseen" — dist < 0 — is the
+// whole relaxation condition). The expansion past that point never rewrites
+// dst's prev chain, so the tree's chain to dst is the finder's, which is
+// what makes served paths byte-identical to the finder's.
 func (hl *HubLabels) buildTree(t *hubTree) {
 	g := hl.g
 	g.csrEnsure()

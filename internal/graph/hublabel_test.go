@@ -252,3 +252,23 @@ func TestHubLabelDistUpperBound(t *testing.T) {
 		}
 	}
 }
+
+// TestHubLabelViewKShortestK1Allocs pins the k=1 exit of Yen's
+// continuation: a hub-rooted k=1 query allocates what the tree walk does
+// plus the one-element result slice, and builds none of Yen's state.
+func TestHubLabelViewKShortestK1Allocs(t *testing.T) {
+	g := randomTestGraph(t, 44, 300, 600)
+	hub, dst := NodeID(0), NodeID(250)
+	hl := NewHubLabels(g, nil, []NodeID{hub})
+	hl.BuildAll()
+	v := hl.View()
+	pf := NewPathFinder(g)
+	if _, ok := v.UnitShortestPath(pf, hub, dst); !ok {
+		t.Fatal("unreachable")
+	}
+	walk := testing.AllocsPerRun(50, func() { v.UnitShortestPath(pf, hub, dst) })
+	k1 := testing.AllocsPerRun(50, func() { v.KShortestPathsUnit(pf, hub, dst, 1) })
+	if k1 > walk+1 {
+		t.Fatalf("k=1 query allocates %v/op, tree walk %v/op — want at most one more (the result slice)", k1, walk)
+	}
+}

@@ -222,9 +222,12 @@ func (pf *PathFinder) shortestUnit(src, dst NodeID, banEdges, banNodes bool) (Pa
 	return reconstruct(src, dst, pf.prevNode, pf.prevEdge), true
 }
 
-// runUnit executes the unit Dijkstra, leaving the prev tree in the scratch
-// arrays; it reports whether dst was reached. The banned variant returns as
-// soon as dst is first relaxed; the clean variant runs until dst pops.
+// runUnit executes the unit Dijkstra, leaving the prev chain to dst in the
+// scratch arrays; it reports whether dst was reached. Both variants return
+// as soon as dst is first relaxed. Pops are non-decreasing in hops, so every
+// later relaxation of dst would offer du'+1 >= du+1 and the strict < never
+// fires, and u and its prev chain are already finalized: stopping at first
+// sight leaves the same prev chain to dst as running until dst pops.
 func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 	pf.begin()
 	pf.g.csrEnsure()
@@ -269,6 +272,9 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 					prevEdge[v] = EdgeID(uint32(arc))
 					prevNode[v] = u
 					state[v] = sd
+					if v == dst {
+						return true // first sight is final (see above)
+					}
 					pf.uheap.push(v, nd)
 				}
 			}
@@ -295,13 +301,7 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 				prevNode[v] = u
 				state[v] = sd
 				if v == dst {
-					// First sight is final: pops are non-decreasing in
-					// hops, so every later relaxation offers du'+1 >=
-					// du+1 and the strict < never fires; u and its prev
-					// chain are already finalized. Stopping here yields
-					// the prev tree the full run would (Yen spur
-					// searches and EDS extraction).
-					return true
+					return true // first sight is final (see above)
 				}
 				pf.uheap.push(v, nd)
 			}
@@ -511,10 +511,14 @@ func (pf *PathFinder) kShortestPaths(src, dst NodeID, k int, w WeightFunc, unit 
 // Dijkstra would return yields output identical to kShortestPaths — which
 // is how the hub-label tier accelerates k-shortest queries: the label tree
 // supplies the first path for free and the spur searches proceed exactly
-// as before.
+// as before. At k == 1 the first path is the whole answer, so none of Yen's
+// state is built: a hub-rooted k=1 query costs one label-tree walk.
 func (pf *PathFinder) kShortestPathsFrom(first Path, dst NodeID, k int, w WeightFunc, unit bool) []Path {
 	if k <= 0 {
 		return nil
+	}
+	if k == 1 {
+		return []Path{first}
 	}
 	pf.ensure()
 	pf.ensureEdges()

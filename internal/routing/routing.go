@@ -96,6 +96,9 @@ func SelectPathsWith(pf *graph.PathFinder, src, dst graph.NodeID, k int, pt Path
 // single TU of that value, since payments cannot be padded). The paper sets
 // Min-TU = 1, Max-TU = 4.
 func SplitDemand(value, minTU, maxTU float64) ([]float64, error) {
+	if math.IsNaN(value) || math.IsInf(value, 0) {
+		return nil, fmt.Errorf("routing: demand must be finite, got %v", value)
+	}
 	if value <= 0 {
 		return nil, fmt.Errorf("routing: demand must be positive, got %v", value)
 	}

@@ -128,14 +128,21 @@ func TestSplitDemandSubMinRemainder(t *testing.T) {
 }
 
 func TestSplitDemandValidation(t *testing.T) {
-	if _, err := SplitDemand(0, 1, 4); err == nil {
-		t.Fatal("zero demand accepted")
-	}
-	if _, err := SplitDemand(5, 0, 4); err == nil {
-		t.Fatal("zero minTU accepted")
-	}
-	if _, err := SplitDemand(5, 4, 1); err == nil {
-		t.Fatal("inverted bounds accepted")
+	for _, tc := range []struct {
+		name                string
+		value, minTU, maxTU float64
+	}{
+		{"zero demand", 0, 1, 4},
+		{"negative demand", -3, 1, 4},
+		{"NaN demand", math.NaN(), 1, 4},
+		{"+Inf demand", math.Inf(1), 1, 4},
+		{"-Inf demand", math.Inf(-1), 1, 4},
+		{"zero minTU", 5, 0, 4},
+		{"inverted bounds", 5, 4, 1},
+	} {
+		if tus, err := SplitDemand(tc.value, tc.minTU, tc.maxTU); err == nil {
+			t.Errorf("%s accepted: %v", tc.name, tus)
+		}
 	}
 }
 

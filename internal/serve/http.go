@@ -9,12 +9,23 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/routing"
 )
+
+// maxK bounds /route and /plan's k. Yen's work grows with k and a started
+// computation runs to completion even after its request's deadline, so
+// larger k are refused with 400; the paper routes over 5 paths.
+const maxK = 32
+
+// maxPlanUnits bounds how many transaction units /plan splits a value
+// into: SplitDemand's work and the response grow with value/MaxTU, so
+// larger values are refused with 400.
+const maxPlanUnits = 1 << 12
 
 // PlanResponse is /plan's answer: the routed paths plus the demand split
 // into transaction units under the network's TU bounds.
@@ -45,10 +56,14 @@ func parseRouteRequest(r *http.Request) (RouteRequest, error) {
 	if err != nil {
 		return RouteRequest{}, errors.New("serve: dst must be a node id")
 	}
+	if src == dst {
+		// A self-route's bottleneck is +Inf, which JSON cannot carry.
+		return RouteRequest{}, errors.New("serve: src and dst must differ")
+	}
 	req := RouteRequest{Src: graph.NodeID(src), Dst: graph.NodeID(dst), K: 1, Type: routing.KSP}
 	if ks := q.Get("k"); ks != "" {
-		if req.K, err = strconv.Atoi(ks); err != nil || req.K <= 0 {
-			return RouteRequest{}, errors.New("serve: k must be a positive integer")
+		if req.K, err = strconv.Atoi(ks); err != nil || req.K <= 0 || req.K > maxK {
+			return RouteRequest{}, fmt.Errorf("serve: k must be an integer in [1, %d]", maxK)
 		}
 	}
 	if ts := q.Get("type"); ts != "" {
@@ -96,6 +111,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := s.net.Config()
+	if value > maxPlanUnits*cfg.MaxTU {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: value splits into more than %d units", maxPlanUnits))
+		return
+	}
 	units, err := routing.SplitDemand(value, cfg.MinTU, cfg.MaxTU)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)

@@ -15,7 +15,9 @@
 // Per-epoch route cache: workers share one pcn.RouteCache (sharded, safe
 // for concurrent readers) per epoch, swapped atomically when a worker first
 // sees a newer epoch. A worker pinned on an older epoch than the shared
-// cache computes uncached rather than poisoning newer entries.
+// cache computes uncached rather than poisoning newer entries. Each epoch's
+// cache stops inserting after maxCachedRoutes misses, so a static daemon or
+// a client walking through distinct pairs cannot grow it without limit.
 package serve
 
 import (
@@ -44,6 +46,11 @@ var ErrSaturated = errors.New("serve: worker pool saturated")
 // ErrNoSnapshot is returned while the writer has not yet published an epoch
 // — the server is up but not ready (503 + Retry-After, like saturation).
 var ErrNoSnapshot = errors.New("serve: no snapshot published")
+
+// maxCachedRoutes caps each epoch's route cache (about 3 MB of k=1 path
+// sets). Once an epoch has this many misses, lookups still hit but new
+// answers are computed uncached.
+const maxCachedRoutes = 1 << 14
 
 // Options configures a Server.
 type Options struct {
@@ -361,7 +368,17 @@ func (s *Server) pathsFor(w *worker, snap *graph.Snapshot, src, dst graph.NodeID
 	if cache == nil {
 		return compute()
 	}
-	return cache.GetOrCompute(pcn.RouteKey{Src: src, Dst: dst, Type: pt, K: k}, compute)
+	key := pcn.RouteKey{Src: src, Dst: dst, Type: pt, K: k}
+	// Each miss inserts at most one entry, so the miss count bounds the
+	// cache size (up to the workers racing past the check together). Past
+	// the cap, hits still serve and every lookup is still counted.
+	if cache.Misses() >= maxCachedRoutes {
+		if paths, ok := cache.Get(key); ok {
+			return paths, nil
+		}
+		return compute()
+	}
+	return cache.GetOrCompute(key, compute)
 }
 
 // cacheFor returns the shared route cache for epoch, installing a fresh one

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -424,5 +426,129 @@ func TestLoadGenSmoke(t *testing.T) {
 	}
 	if st.Errors != 0 {
 		t.Fatalf("loadgen errors on a static topology: %+v", st)
+	}
+}
+
+// TestEpochCacheBounded pins the per-epoch cache cap: clients walking
+// through more distinct pairs than maxCachedRoutes cannot grow the cache
+// past it (workers racing past the check add at most one entry each), every
+// lookup is still counted, entries cached before the cap keep hitting, and
+// answers computed past the cap are the exact ones.
+func TestEpochCacheBounded(t *testing.T) {
+	const nodes = 140 // 140·139 ordered pairs > maxCachedRoutes
+	const workers = 2
+	n := testNetwork(t, 19, nodes)
+	s := NewServer(n, Options{Workers: workers})
+	defer s.Shutdown(context.Background())
+	ctx := context.Background()
+	snap := s.Snapshots().Acquire()
+	defer snap.Release()
+
+	// One client per worker, each walking its own stripe of sources, so
+	// the cap is crossed by concurrent misses.
+	var lookups, postCap atomic.Uint64
+	var wg sync.WaitGroup
+	for c := 0; c < workers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			pf := graph.NewPathFinder(snap.Graph())
+			for src := graph.NodeID(c); src < nodes; src += workers {
+				for dst := graph.NodeID(0); dst < nodes; dst++ {
+					if src == dst {
+						continue
+					}
+					capped := s.Stats().CacheMiss >= maxCachedRoutes
+					resp, err := s.Route(ctx, RouteRequest{Src: src, Dst: dst, K: 1})
+					if err != nil {
+						t.Errorf("%d->%d: %v", src, dst, err)
+						return
+					}
+					lookups.Add(1)
+					if !capped || postCap.Add(1) > 500 {
+						continue
+					}
+					want, err := routing.SelectPathsWith(pf, src, dst, 1, routing.KSP)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(resp.Paths) != len(want) {
+						t.Errorf("post-cap %d->%d: %d paths, want %d", src, dst, len(resp.Paths), len(want))
+						return
+					}
+					for i := range want {
+						if got := (graph.Path{Nodes: resp.Paths[i].Nodes, Edges: resp.Paths[i].Edges}); !got.Equal(want[i]) {
+							t.Errorf("post-cap %d->%d path %d diverges from an uncached finder", src, dst, i)
+							return
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if postCap.Load() == 0 {
+		t.Fatal("the query walk never reached the cap; test is vacuous")
+	}
+	before := s.Stats().CacheHits
+	if _, err := s.Route(ctx, RouteRequest{Src: 0, Dst: 1, K: 1}); err != nil { // the first key walked
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.CacheHits != before+1 {
+		t.Fatalf("pre-cap key missed after the cap: hits %d -> %d", before, st.CacheHits)
+	}
+	if got, want := st.CacheHits+st.CacheMiss, lookups.Load()+1; got != want {
+		t.Fatalf("hits+misses = %d, want %d lookups", got, want)
+	}
+	if l := s.cache.Load().cache.Len(); l > maxCachedRoutes+workers {
+		t.Fatalf("cache holds %d entries, cap %d (+%d workers)", l, maxCachedRoutes, workers)
+	}
+}
+
+// TestHTTPRejectsUnboundedWork pins the input bounds that keep one request
+// from pinning a worker or the HTTP goroutine: k above maxK and /plan values
+// that are non-finite or split into more than maxPlanUnits units answer 400.
+func TestHTTPRejectsUnboundedWork(t *testing.T) {
+	n := testNetwork(t, 20, 40)
+	s := NewServer(n, Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	maxValue := maxPlanUnits * n.Config().MaxTU
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"/route?src=3&dst=27&k=1000000000", 400},
+		{fmt.Sprintf("/route?src=3&dst=27&k=%d", maxK+1), 400},
+		{fmt.Sprintf("/route?src=3&dst=27&k=%d", maxK), 200},
+		{"/route?src=3&dst=27&k=0", 400},
+		{"/plan?src=3&dst=27&k=1000000000&value=5", 400},
+		{"/plan?src=3&dst=27&value=Inf", 400},
+		{"/plan?src=3&dst=27&value=-Inf", 400},
+		{"/plan?src=3&dst=27&value=NaN", 400},
+		{"/plan?src=3&dst=27&value=1e308", 400},
+		{fmt.Sprintf("/plan?src=3&dst=27&value=%g", maxValue*1.001), 400},
+		{fmt.Sprintf("/plan?src=3&dst=27&value=%g", maxValue), 200},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", tc.query, nil))
+		if rec.Code != tc.want {
+			t.Errorf("%s = %d %s, want %d", tc.query, rec.Code, rec.Body.Bytes(), tc.want)
+			continue
+		}
+		if tc.want == 200 && strings.HasPrefix(tc.query, "/plan") {
+			var pr PlanResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
+				t.Fatal(err)
+			}
+			if len(pr.Units) != maxPlanUnits {
+				t.Errorf("%s split into %d units, want %d", tc.query, len(pr.Units), maxPlanUnits)
+			}
+		}
 	}
 }
