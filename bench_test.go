@@ -1,51 +1,46 @@
 package splicer
 
 // One benchmark per table and figure of the paper's evaluation (§V). Each
-// benchmark regenerates its figure/table through the same runner that
-// cmd/experiments uses; grids are trimmed so a single iteration stays in
+// benchmark regenerates its figure/table through the scenario engine that
+// cmd/scenarios drives; grids are trimmed so a single iteration stays in
 // benchmark budget while preserving the comparison structure. Run the full
-// paper-size sweeps with:  go run ./cmd/experiments -run all
+// paper-size sweeps with:  go run ./cmd/scenarios run all -workers -1
 //
 //	go test -bench=. -benchmem
 
 import (
 	"testing"
 
-	"github.com/splicer-pcn/splicer/internal/experiments"
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
 	"github.com/splicer-pcn/splicer/internal/routing"
+	"github.com/splicer-pcn/splicer/internal/scenario"
 )
 
 // benchSmall trims the small-scale scenario for per-iteration budgets.
-func benchSmall() experiments.Scenario {
-	s := experiments.SmallScale()
-	s.Duration = 4
-	s.Rate = 80
+func benchSmall() scenario.Spec {
+	s := scenario.SmallSpec()
+	s.Workload.Duration = 4
+	s.Workload.Rate = 80
 	return s
 }
 
 // benchLarge keeps the large node count (the point of Fig. 8) with a short
 // trace.
-func benchLarge() experiments.Scenario {
-	s := experiments.LargeScale()
-	s.Duration = 2
-	s.Rate = 150
+func benchLarge() scenario.Spec {
+	s := scenario.LargeSpec()
+	s.Workload.Duration = 2
+	s.Workload.Rate = 150
 	return s
 }
 
-func withGrid(b *testing.B, grid *[]float64, vals []float64) {
+// benchFigure sweeps param over xs for the five paper schemes.
+func benchFigure(b *testing.B, s scenario.Spec, param string, xs []float64, metric scenario.Metric) {
 	b.Helper()
-	old := *grid
-	*grid = vals
-	b.Cleanup(func() { *grid = old })
-}
-
-func benchSeries(b *testing.B, f func(experiments.Scenario) ([]experiments.Series, error), s experiments.Scenario) {
-	b.Helper()
+	axis := scenario.Axis{Param: param, Values: xs}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		series, err := f(s)
+		series, err := scenario.RunFigure(s, axis, scenario.DefaultSchemes(), metric, scenario.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,196 +50,152 @@ func benchSeries(b *testing.B, f func(experiments.Scenario) ([]experiments.Serie
 	}
 }
 
+// benchPanel runs one placement or routing-choice panel per iteration; n
+// reports how many points or rows it produced.
+func benchPanel(b *testing.B, run func() (n int, err error)) {
+	b.Helper()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, err := run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n == 0 {
+			b.Fatal("no points")
+		}
+	}
+}
+
 func BenchmarkFig7aChannelSizeSmall(b *testing.B) {
-	withGrid(b, &experiments.ChannelScaleSweep, []float64{0.5, 2})
-	benchSeries(b, experiments.FigChannelSize, benchSmall())
+	benchFigure(b, benchSmall(), "channel_scale", []float64{0.5, 2}, scenario.MetricTSR)
 }
 
 func BenchmarkFig7bTxnSizeSmall(b *testing.B) {
-	withGrid(b, &experiments.ValueScaleSweep, []float64{1, 4})
-	benchSeries(b, experiments.FigTxnSize, benchSmall())
+	benchFigure(b, benchSmall(), "value_scale", []float64{1, 4}, scenario.MetricTSR)
 }
 
 func BenchmarkFig7cUpdateTimeSmall(b *testing.B) {
-	withGrid(b, &experiments.TauSweepMs, []float64{200, 800})
-	benchSeries(b, experiments.FigUpdateTime, benchSmall())
+	benchFigure(b, benchSmall(), "tau_ms", []float64{200, 800}, scenario.MetricTSR)
 }
 
 func BenchmarkFig7dThroughputSmall(b *testing.B) {
-	withGrid(b, &experiments.TauSweepMs, []float64{200, 800})
-	benchSeries(b, experiments.FigThroughput, benchSmall())
+	benchFigure(b, benchSmall(), "tau_ms", []float64{200, 800}, scenario.MetricThroughput)
 }
 
 func BenchmarkFig8aChannelSizeLarge(b *testing.B) {
-	withGrid(b, &experiments.ChannelScaleSweep, []float64{1})
-	benchSeries(b, experiments.FigChannelSize, benchLarge())
+	benchFigure(b, benchLarge(), "channel_scale", []float64{1}, scenario.MetricTSR)
 }
 
 func BenchmarkFig8bTxnSizeLarge(b *testing.B) {
-	withGrid(b, &experiments.ValueScaleSweep, []float64{2})
-	benchSeries(b, experiments.FigTxnSize, benchLarge())
+	benchFigure(b, benchLarge(), "value_scale", []float64{2}, scenario.MetricTSR)
 }
 
 func BenchmarkFig8cUpdateTimeLarge(b *testing.B) {
-	withGrid(b, &experiments.TauSweepMs, []float64{400})
-	benchSeries(b, experiments.FigUpdateTime, benchLarge())
+	benchFigure(b, benchLarge(), "tau_ms", []float64{400}, scenario.MetricTSR)
 }
 
 func BenchmarkFig8dThroughputLarge(b *testing.B) {
-	withGrid(b, &experiments.TauSweepMs, []float64{400})
-	benchSeries(b, experiments.FigThroughput, benchLarge())
+	benchFigure(b, benchLarge(), "tau_ms", []float64{400}, scenario.MetricThroughput)
 }
 
 func BenchmarkFig9aBalanceCost(b *testing.B) {
-	withGrid(b, &experiments.OmegaSweep, []float64{0.05, 0.5})
-	benchSeries(b, experiments.FigBalanceCost, benchSmall())
+	benchPanel(b, func() (int, error) {
+		series, err := scenario.BalanceCostSeries(benchSmall(), []float64{0.05, 0.5})
+		return len(series), err
+	})
 }
 
 func BenchmarkFig9bTradeoff(b *testing.B) {
-	withGrid(b, &experiments.OmegaSweep, []float64{0.05, 0.5})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.FigCostTradeoff(benchSmall())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("no points")
-		}
-	}
+	benchPanel(b, func() (int, error) {
+		pts, err := scenario.CostTradeoff(benchSmall(), []float64{0.05, 0.5})
+		return len(pts), err
+	})
 }
 
 func BenchmarkFig9cHubCountSmall(b *testing.B) {
-	withGrid(b, &experiments.OmegaSweep, []float64{0.05, 0.5})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.FigHubCount(benchSmall())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
+	benchPanel(b, func() (int, error) {
+		s, err := scenario.HubCount(benchSmall(), []float64{0.05, 0.5})
+		return len(s.Points), err
+	})
 }
 
 func BenchmarkFig9dHubCountLarge(b *testing.B) {
-	withGrid(b, &experiments.OmegaSweep, []float64{0.05})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := experiments.FigHubCount(benchLarge())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
+	benchPanel(b, func() (int, error) {
+		s, err := scenario.HubCount(benchLarge(), []float64{0.05})
+		return len(s.Points), err
+	})
 }
 
 func BenchmarkFig9eDelayOverheadSmall(b *testing.B) {
-	withGrid(b, &experiments.OmegaSweep, []float64{0.05, 0.5})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.FigDelayOverhead(benchSmall())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("no points")
-		}
-	}
+	benchPanel(b, func() (int, error) {
+		pts, err := scenario.DelayOverhead(benchSmall(), []float64{0.05, 0.5})
+		return len(pts), err
+	})
 }
 
 func BenchmarkFig9fDelayOverheadLarge(b *testing.B) {
-	withGrid(b, &experiments.OmegaSweep, []float64{0.05})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.FigDelayOverhead(benchLarge())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("no points")
-		}
-	}
+	benchPanel(b, func() (int, error) {
+		pts, err := scenario.DelayOverhead(benchLarge(), []float64{0.05})
+		return len(pts), err
+	})
 }
 
 func BenchmarkTableIMatrix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := experiments.TableI()
+		t := scenario.TableI()
 		if len(t.Rows) != 6 {
 			b.Fatal("bad matrix")
 		}
 	}
 }
 
-func BenchmarkTableIIPathType(b *testing.B) {
+// benchTableII runs the small-scale routing-choice study narrowed to opts
+// and checks it produced want rows.
+func benchTableII(b *testing.B, opts scenario.ChoicesOptions, want int) {
+	b.Helper()
 	s := benchSmall()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableII(s, s, experiments.TableIIOptions{
-			PathTypes:   []routing.PathType{routing.EDW, routing.EDS},
-			PathNumbers: []int{5},
-			Schedulers:  []string{"LIFO"},
-			SkipLarge:   true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
+	opts.SkipLarge = true
+	benchPanel(b, func() (int, error) {
+		rows, err := scenario.RoutingChoices(s, s, opts, scenario.RunOptions{})
+		if err == nil && len(rows) != want {
 			b.Fatalf("rows: %d", len(rows))
 		}
-	}
+		return len(rows), err
+	})
+}
+
+func BenchmarkTableIIPathType(b *testing.B) {
+	benchTableII(b, scenario.ChoicesOptions{
+		PathTypes:   []routing.PathType{routing.EDW, routing.EDS},
+		PathNumbers: []int{5},
+		Schedulers:  []string{"LIFO"},
+	}, 4)
 }
 
 func BenchmarkTableIIPathNumber(b *testing.B) {
-	s := benchSmall()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableII(s, s, experiments.TableIIOptions{
-			PathTypes:   []routing.PathType{routing.EDW},
-			PathNumbers: []int{1, 5},
-			Schedulers:  []string{"LIFO"},
-			SkipLarge:   true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("rows: %d", len(rows))
-		}
-	}
+	benchTableII(b, scenario.ChoicesOptions{
+		PathTypes:   []routing.PathType{routing.EDW},
+		PathNumbers: []int{1, 5},
+		Schedulers:  []string{"LIFO"},
+	}, 4)
 }
 
 func BenchmarkTableIIScheduler(b *testing.B) {
-	s := benchSmall()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.TableII(s, s, experiments.TableIIOptions{
-			PathTypes:   []routing.PathType{routing.EDW},
-			PathNumbers: []int{5},
-			Schedulers:  []string{"LIFO", "FIFO"},
-			SkipLarge:   true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatalf("rows: %d", len(rows))
-		}
-	}
+	benchTableII(b, scenario.ChoicesOptions{
+		PathTypes:   []routing.PathType{routing.EDW},
+		PathNumbers: []int{5},
+		Schedulers:  []string{"LIFO", "FIFO"},
+	}, 4)
 }
 
 // BenchmarkFigScale is the scaling panel trimmed to one mid-size point; the
-// full 2k-10k grid runs via  go run ./cmd/experiments -run figscale.
+// full 2k-10k grid runs via  go run ./cmd/scenarios run figscale.
 func BenchmarkFigScale(b *testing.B) {
-	withGrid(b, &experiments.NodeCountSweep, []float64{400})
-	s := experiments.Scale()
-	s.Rate = 60
-	s.Duration = 2
-	benchSeries(b, experiments.FigScale, s)
+	s := scenario.ScaleSpec()
+	s.Workload.Rate = 60
+	s.Workload.Duration = 2
+	benchFigure(b, s, "nodes", []float64{400}, scenario.MetricThroughput)
 }
 
 // Micro-benchmarks of the core machinery (placement solvers, the

@@ -9,10 +9,9 @@
 //	scenarios run all -out results
 //	scenarios diff fig7c -golden internal/scenario/testdata/golden/fig7c.csv
 //
-// Registered scenarios reproduce the paper's figures and tables CSV-for-CSV
-// (cmd/experiments renders the same registry entries); a JSON spec file
-// turns a new topology × workload × dynamics × scheme combination into a
-// run without writing Go.
+// Registered scenarios reproduce the paper's figures and tables CSV-for-CSV;
+// a JSON spec file turns a new topology × workload × dynamics × scheme
+// combination into a run without writing Go.
 package main
 
 import (

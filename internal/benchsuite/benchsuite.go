@@ -19,7 +19,6 @@ import (
 	"time"
 
 	splicer "github.com/splicer-pcn/splicer"
-	"github.com/splicer-pcn/splicer/internal/experiments"
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/rng"
 	"github.com/splicer-pcn/splicer/internal/scenario"
@@ -338,24 +337,24 @@ func benchLabelBuild10k(b *testing.B) {
 }
 
 // figBench mirrors the tracked BenchmarkFig8dThroughputLarge: the large
-// scenario at one τ point. Short mode trims the trace for CI budget — its
-// numbers are NOT comparable to a full run (the JSON records the mode).
+// scenario at one τ point, all five paper schemes. Short mode trims the
+// trace for CI budget — its numbers are NOT comparable to a full run (the
+// JSON records the mode).
 func figBench(short bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		old := experiments.TauSweepMs
-		experiments.TauSweepMs = []float64{400}
-		defer func() { experiments.TauSweepMs = old }()
-		s := experiments.LargeScale()
-		s.Duration = 2
-		s.Rate = 150
+		spec := scenario.LargeSpec()
+		spec.Workload.Duration = 2
+		spec.Workload.Rate = 150
 		if short {
-			s.Duration = 1
-			s.Rate = 60
+			spec.Workload.Duration = 1
+			spec.Workload.Rate = 60
 		}
+		axis := scenario.Axis{Param: "tau_ms", Values: []float64{400}}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			series, err := experiments.FigThroughput(s)
+			series, err := scenario.RunFigure(spec, axis, scenario.DefaultSchemes(),
+				scenario.MetricThroughput, scenario.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -223,11 +223,13 @@ func (pf *PathFinder) shortestUnit(src, dst NodeID, banEdges, banNodes bool) (Pa
 }
 
 // runUnit executes the unit Dijkstra, leaving the prev chain to dst in the
-// scratch arrays; it reports whether dst was reached. Both variants return
-// as soon as dst is first relaxed. Pops are non-decreasing in hops, so every
-// later relaxation of dst would offer du'+1 >= du+1 and the strict < never
-// fires, and u and its prev chain are already finalized: stopping at first
-// sight leaves the same prev chain to dst as running until dst pops.
+// scratch arrays; it reports whether dst was reached. Under unit weights a
+// relaxation can only succeed on an unseen node: pops are non-decreasing in
+// hops, so a seen node already holds hops <= du+1 and the strict < of the
+// generic loop never fires for it. Each node is therefore pushed at most
+// once — no pop is stale — and its prev is fixed at first sight, which is
+// why no dist is kept and both variants return as soon as dst is first
+// relaxed: that leaves the same prev chain to dst as running until dst pops.
 func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 	pf.begin()
 	pf.g.csrEnsure()
@@ -237,25 +239,19 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 	// query, and keeping them in locals lets the compiler keep the slice
 	// headers in registers across the uheap.push calls (which mutate pf
 	// state and would otherwise force reloads).
-	state, dist := pf.state, pf.dist
+	state := pf.state
 	prevEdge, prevNode := pf.prevEdge, pf.prevNode
 	span, slab := pf.g.csr.span, pf.g.csr.slab
-	dist[src] = 0
 	prevEdge[src] = -1
 	prevNode[src] = -1
 	state[src] = sd
+	if src == dst {
+		return true // every other dst returns at first sight, below
+	}
 	pf.uheap.push(src, 0)
 	for pf.uheap.len() > 0 {
 		u, du := pf.uheap.pop()
-		if state[u] == sd|1 {
-			continue
-		}
-		state[u] = sd | 1
-		if u == dst {
-			break
-		}
 		nd := du + 1
-		fnd := float64(nd)
 		s := span[u]
 		arcs := slab[s.off : s.off+s.n]
 		if !banEdges && !banNodes {
@@ -263,20 +259,16 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 			// paths): no ban checks in the inner loop at all.
 			for _, arc := range arcs {
 				v := NodeID(arc >> 32)
-				sv := state[v]
-				if sv == sd|1 {
+				if state[v] >= sd {
 					continue
 				}
-				if sv < sd || fnd < dist[v] {
-					dist[v] = fnd
-					prevEdge[v] = EdgeID(uint32(arc))
-					prevNode[v] = u
-					state[v] = sd
-					if v == dst {
-						return true // first sight is final (see above)
-					}
-					pf.uheap.push(v, nd)
+				prevEdge[v] = EdgeID(uint32(arc))
+				prevNode[v] = u
+				state[v] = sd
+				if v == dst {
+					return true // first sight is final (see above)
 				}
+				pf.uheap.push(v, nd)
 			}
 			continue
 		}
@@ -288,34 +280,30 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 				continue
 			}
 			v := NodeID(arc >> 32)
-			sv := state[v]
-			if sv == sd|1 {
+			if state[v] >= sd {
 				continue
 			}
 			if banNodes && bannedNode[v] {
 				continue
 			}
-			if sv < sd || fnd < dist[v] {
-				dist[v] = fnd
-				prevEdge[v] = eid
-				prevNode[v] = u
-				state[v] = sd
-				if v == dst {
-					return true // first sight is final (see above)
-				}
-				pf.uheap.push(v, nd)
+			prevEdge[v] = eid
+			prevNode[v] = u
+			state[v] = sd
+			if v == dst {
+				return true // first sight is final (see above)
 			}
+			pf.uheap.push(v, nd)
 		}
 	}
-	return pf.state[dst] >= sd
+	return false
 }
 
 // UnitShortestPaths runs ONE unit-weight Dijkstra from src and returns the
 // shortest path to every target (the zero Path where unreachable). Each
 // entry is identical to UnitShortestPath(src, dsts[i]) run separately: the
-// expansion is deterministic and a finalized node's dist/prev never change,
-// so running the same expansion past an early target cannot alter that
-// target's already-frozen path. Landmark routing uses it to compute all k
+// expansion is deterministic and, as in runUnit, a node's prev is fixed at
+// first sight, so running the same expansion past an early target cannot
+// alter that target's path. Landmark routing uses it to compute all k
 // sender→landmark detour heads in a single traversal.
 func (pf *PathFinder) UnitShortestPaths(src NodeID, dsts []NodeID) []Path {
 	out := make([]Path, len(dsts))
@@ -328,20 +316,15 @@ func (pf *PathFinder) UnitShortestPaths(src NodeID, dsts []NodeID) []Path {
 	sd := pf.query << 1
 	reached := make([]bool, len(dsts))
 	remaining := len(dsts)
-	state, dist := pf.state, pf.dist
+	state := pf.state
 	prevEdge, prevNode := pf.prevEdge, pf.prevNode
 	span, slab := pf.g.csr.span, pf.g.csr.slab
-	dist[src] = 0
 	prevEdge[src] = -1
 	prevNode[src] = -1
 	state[src] = sd
 	pf.uheap.push(src, 0)
 	for pf.uheap.len() > 0 && remaining > 0 {
 		u, du := pf.uheap.pop()
-		if state[u] == sd|1 {
-			continue
-		}
-		state[u] = sd | 1
 		for i, d := range dsts {
 			if d == u && !reached[i] {
 				reached[i] = true
@@ -352,21 +335,16 @@ func (pf *PathFinder) UnitShortestPaths(src NodeID, dsts []NodeID) []Path {
 			break
 		}
 		nd := du + 1
-		fnd := float64(nd)
 		s := span[u]
 		for _, arc := range slab[s.off : s.off+s.n] {
 			v := NodeID(arc >> 32)
-			sv := state[v]
-			if sv == sd|1 {
+			if state[v] >= sd {
 				continue
 			}
-			if sv < sd || fnd < dist[v] {
-				dist[v] = fnd
-				prevEdge[v] = EdgeID(uint32(arc))
-				prevNode[v] = u
-				state[v] = sd
-				pf.uheap.push(v, nd)
-			}
+			prevEdge[v] = EdgeID(uint32(arc))
+			prevNode[v] = u
+			state[v] = sd
+			pf.uheap.push(v, nd)
 		}
 	}
 	for i, d := range dsts {

@@ -13,12 +13,11 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden CSV fixtures from current output")
 
 // goldenEntries names the registry entries pinned byte-for-byte. The
-// fixtures were produced by the hand-wired pre-engine experiment runners
-// (cmd/experiments), so this test is the proof that the declarative engine
-// reproduces the historical generators exactly — and it keeps future perf
-// PRs honest mechanically: any change to the sweep machinery, the rng split
-// discipline, the simulator core or the CSV formatting that shifts a single
-// byte fails here.
+// fixtures predate the declarative engine, so this test is the proof that
+// the engine reproduces the original generators exactly — and it keeps
+// future perf PRs honest mechanically: any change to the sweep machinery,
+// the rng split discipline, the simulator core or the CSV formatting that
+// shifts a single byte fails here.
 //
 // fig7c pins the static figure path (scheme sweep, tau mutation), figchurn
 // the dynamics path (timeline, driver, online re-placement), table2 the

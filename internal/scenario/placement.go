@@ -1,12 +1,10 @@
 // Placement panels (Fig. 9): analytical evaluations of the hub-placement
-// solver over a spec's topology. Ported from internal/experiments, which
-// now delegates here; the build path reuses the spec pipeline so the
-// topologies (and hence the numbers) match the historical runners exactly.
+// solver over a spec's topology. The build path reuses the spec pipeline, so
+// each panel sees the same topology a simulation cell of that spec would.
 package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/splicer-pcn/splicer/internal/graph"
 	"github.com/splicer-pcn/splicer/internal/pcn"
@@ -266,25 +264,4 @@ func meanPairwiseHops(g *graph.Graph, src *rng.Source, samples int) (float64, er
 		return 0, fmt.Errorf("scenario: no connected samples")
 	}
 	return total / float64(count), nil
-}
-
-// MeanGap returns the mean relative gap between two series sharing X values;
-// tests use it to quantify approximation quality in Fig. 9(a).
-func MeanGap(a, b Series) float64 {
-	n := len(a.Points)
-	if len(b.Points) < n {
-		n = len(b.Points)
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	total := 0.0
-	for i := 0; i < n; i++ {
-		ref := b.Points[i].Y
-		if ref == 0 {
-			continue
-		}
-		total += math.Abs(a.Points[i].Y-ref) / math.Abs(ref)
-	}
-	return total / float64(n)
 }

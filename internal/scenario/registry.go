@@ -1,9 +1,7 @@
 // The named-scenario registry: every figure and table of the paper's
 // evaluation — plus the post-paper panels (scaling, churn) and the new
-// standalone scenarios — as a declarative entry over base Specs. cmd/
-// scenarios runs entries by name; internal/experiments' historical API is a
-// thin wrapper over the same entries, so both front ends produce identical
-// CSVs.
+// standalone scenarios — as a declarative entry over base Specs.
+// cmd/scenarios runs entries by name.
 package scenario
 
 import (

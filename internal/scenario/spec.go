@@ -272,8 +272,12 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
+	// nodes is the node count the spec states (0 for a snapshot, whose
+	// size lives in the asset).
+	var nodes int
 	switch s.Topology.Type {
 	case TopoWattsStrogatz, TopoBarabasiAlbert, TopoErdosRenyi:
+		nodes = s.Topology.Nodes
 		if s.Topology.Nodes < 3 {
 			return fmt.Errorf("scenario: topology %q needs nodes >= 3, got %d", s.Topology.Type, s.Topology.Nodes)
 		}
@@ -287,6 +291,8 @@ func (s Spec) Validate() error {
 		if s.Topology.Cores < 1 || s.Topology.HubsPerCore < 1 || s.Topology.ClientsPerHub < 1 {
 			return fmt.Errorf("scenario: hub-spoke needs cores, hubs_per_core and clients_per_hub >= 1")
 		}
+		hubs := s.Topology.Cores * s.Topology.HubsPerCore
+		nodes = s.Topology.Cores + hubs + hubs*s.Topology.ClientsPerHub
 	case TopoSnapshot:
 		if s.Topology.Snapshot == "" {
 			return fmt.Errorf("scenario: snapshot topology needs a snapshot file reference")
@@ -361,6 +367,12 @@ func (s Spec) Validate() error {
 	if s.Routing.NumPaths < 0 || s.Routing.UpdateTauMs < 0 || s.Routing.HubCandidates < 0 ||
 		s.Routing.PlacementOmega < 0 || s.Routing.MaxInFlightTUs < 0 || s.Routing.Parallelism < 0 {
 		return fmt.Errorf("scenario: routing overrides must be >= 0")
+	}
+	// Placement draws candidates from at most half the live nodes and would
+	// silently clamp a larger list.
+	if nodes > 0 && s.Routing.HubCandidates > nodes/2 {
+		return fmt.Errorf("scenario: hub_candidates %d exceeds half of the %d nodes (placement would clamp it to %d)",
+			s.Routing.HubCandidates, nodes, nodes/2)
 	}
 	if r := s.Routing.Retry; r != nil {
 		if r.MaxAttempts < 2 {

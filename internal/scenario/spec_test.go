@@ -31,19 +31,24 @@ func TestSpecValidate(t *testing.T) {
 	}
 
 	invalid := map[string]func(*Spec){
-		"unknown topology":   func(s *Spec) { s.Topology.Type = "torus" },
-		"unknown workload":   func(s *Spec) { s.Workload.Type = "quantum" },
-		"unknown scheme":     func(s *Spec) { s.Scheme = "Ripple" },
-		"tiny nodes":         func(s *Spec) { s.Topology.Nodes = 2 },
-		"zero rate":          func(s *Spec) { s.Workload.Rate = 0 },
-		"zero duration":      func(s *Spec) { s.Workload.Duration = 0 },
-		"bad edge prob":      func(s *Spec) { s.Topology.Type = TopoErdosRenyi; s.Topology.EdgeProb = 1.5 },
-		"bad path type":      func(s *Spec) { s.Routing.PathType = "Quickest" },
-		"bad scheduler":      func(s *Spec) { s.Routing.Scheduler = "Random" },
-		"negative churn":     func(s *Spec) { s.Dynamics = &DynamicsSpec{ChurnRate: -1} },
-		"bad on-off":         func(s *Spec) { s.Workload.OnOff = &OnOffSpec{MeanOn: 0, MeanOff: 1, OnFactor: 2} },
-		"snapshot w/o file":  func(s *Spec) { s.Topology.Type = TopoSnapshot; s.Topology.Snapshot = "" },
-		"negative overrides": func(s *Spec) { s.Routing.NumPaths = -1 },
+		"unknown topology":       func(s *Spec) { s.Topology.Type = "torus" },
+		"unknown workload":       func(s *Spec) { s.Workload.Type = "quantum" },
+		"unknown scheme":         func(s *Spec) { s.Scheme = "Ripple" },
+		"tiny nodes":             func(s *Spec) { s.Topology.Nodes = 2 },
+		"zero rate":              func(s *Spec) { s.Workload.Rate = 0 },
+		"zero duration":          func(s *Spec) { s.Workload.Duration = 0 },
+		"bad edge prob":          func(s *Spec) { s.Topology.Type = TopoErdosRenyi; s.Topology.EdgeProb = 1.5 },
+		"bad path type":          func(s *Spec) { s.Routing.PathType = "Quickest" },
+		"bad scheduler":          func(s *Spec) { s.Routing.Scheduler = "Random" },
+		"negative churn":         func(s *Spec) { s.Dynamics = &DynamicsSpec{ChurnRate: -1} },
+		"bad on-off":             func(s *Spec) { s.Workload.OnOff = &OnOffSpec{MeanOn: 0, MeanOff: 1, OnFactor: 2} },
+		"snapshot w/o file":      func(s *Spec) { s.Topology.Type = TopoSnapshot; s.Topology.Snapshot = "" },
+		"negative overrides":     func(s *Spec) { s.Routing.NumPaths = -1 },
+		"clamped hub_candidates": func(s *Spec) { s.Routing.HubCandidates = 100000 },
+		"hub-spoke hub_candidates": func(s *Spec) {
+			s.Topology = BurstyHubSpokeSpec().Topology
+			s.Routing.HubCandidates = 200 // 3 + 9 + 90 = 102 nodes
+		},
 	}
 	for name, mutate := range invalid {
 		s := SmallSpec()
@@ -58,6 +63,18 @@ func TestSpecValidate(t *testing.T) {
 	s.Dynamics = &DynamicsSpec{ChurnRate: 1}
 	if err := s.Validate(); err == nil {
 		t.Error("Validate accepted replay workload with dynamics")
+	}
+
+	// hub_candidates is refused, with a reason, just past half the stated
+	// node count — the point where placement would start clamping it.
+	hc := SmallSpec()
+	hc.Routing.HubCandidates = hc.Topology.Nodes / 2
+	if err := hc.Validate(); err != nil {
+		t.Errorf("hub_candidates at half the nodes refused: %v", err)
+	}
+	hc.Routing.HubCandidates++
+	if err := hc.Validate(); err == nil || !strings.Contains(err.Error(), "hub_candidates") {
+		t.Errorf("hub_candidates past half the nodes: err = %v, want a hub_candidates reason", err)
 	}
 }
 
@@ -202,6 +219,7 @@ func TestReplayTraceBoundsChecked(t *testing.T) {
 	// loudly at build time.
 	s := ReplaySnapshotSpec()
 	s.Topology = TopologySpec{Type: TopoErdosRenyi, Nodes: 10, EdgeProb: 0.5}
+	s.Routing.HubCandidates = 5 // Validate refuses more than half the nodes
 	if _, _, err := s.Build(); err == nil || !strings.Contains(err.Error(), "references node") {
 		t.Fatalf("out-of-range replay trace: err = %v", err)
 	}

@@ -1,7 +1,5 @@
-// Figure/table output types. These moved here from internal/experiments
-// (which now aliases them) so the scenario engine and the historical
-// experiment API render through one code path; the CSV formatting is part of
-// the golden-fixture contract and must not drift.
+// Figure/table output types. The CSV formatting is part of the
+// golden-fixture contract and must not drift.
 package scenario
 
 import (
