@@ -182,6 +182,8 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 	ctx := context.Background()
 
 	// Saturate the pool from several clients, then shut down mid-flight.
+	// Each client queries until it is refused, so the shutdown always
+	// lands while queries are being issued, however fast they run.
 	var wg sync.WaitGroup
 	var completed, refused atomic.Uint64
 	for c := 0; c < 6; c++ {
@@ -189,7 +191,7 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
+			for i := 0; i < 1<<20; i++ {
 				_, err := s.Route(ctx, RouteRequest{
 					Src: graph.NodeID(rnd.Intn(60)),
 					Dst: graph.NodeID(rnd.Intn(60)),
@@ -200,13 +202,19 @@ func TestShutdownDrainsAndRefuses(t *testing.T) {
 					completed.Add(1)
 				case errors.Is(err, ErrShuttingDown):
 					refused.Add(1)
+					return
 				default:
 					panic(err)
 				}
 			}
 		}(int64(c))
 	}
-	time.Sleep(5 * time.Millisecond) // let some queries get in flight
+	// Let some queries complete before shutting down.
+	for start := time.Now(); completed.Load() < 50; time.Sleep(100 * time.Microsecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("only %d queries completed in 10s", completed.Load())
+		}
+	}
 	dl, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	if err := s.Shutdown(dl); err != nil {
