@@ -109,20 +109,23 @@ func LoadGen(ctx context.Context, s *Server, cfg LoadGenConfig) LoadStats {
 			for runCtx.Err() == nil {
 				src, dst := drawEndpoints(rng, nodes, hubs, cfg.HubFraction)
 				if _, err := s.Route(runCtx, RouteRequest{Src: src, Dst: dst, K: cfg.K}); err != nil {
-					if runCtx.Err() != nil {
-						break // cancellation, not a serving error
-					}
-					errs.Add(1)
 					if errors.Is(err, ErrSaturated) {
-						// Overload shed: back off briefly like an HTTP client
-						// honoring Retry-After, instead of hot-spinning the
-						// admission path.
+						// Overload shed: counted even when the run ends
+						// meanwhile, as the server counts it. Back off
+						// briefly like an HTTP client honoring Retry-After,
+						// instead of hot-spinning the admission path.
+						errs.Add(1)
 						saturated.Add(1)
 						select {
 						case <-runCtx.Done():
 						case <-time.After(200 * time.Microsecond):
 						}
+						continue
 					}
+					if runCtx.Err() != nil {
+						break // cancellation, not a serving error
+					}
+					errs.Add(1)
 					continue
 				}
 				requests.Add(1)
