@@ -360,18 +360,13 @@ func (in *Injector) strikeHubs() {
 			continue
 		}
 		var former []reopen
-		for _, eid := range g.Incident(h) {
-			ch := in.net.Channel(eid)
+		for _, a := range g.Arcs(h) {
+			ch := in.net.Channel(a.Edge())
 			if ch.Closed() {
 				continue
 			}
-			e := g.Edge(eid)
-			peer := e.U
-			if peer == h {
-				peer = e.V
-			}
 			dh := ch.DirFrom(h)
-			former = append(former, reopen{peer: peer, balHub: ch.Balance(dh), balPeer: ch.Balance(dh.Reverse())})
+			former = append(former, reopen{peer: a.To(), balHub: ch.Balance(dh), balPeer: ch.Balance(dh.Reverse())})
 		}
 		if err := in.net.DepartNode(h); err != nil {
 			continue

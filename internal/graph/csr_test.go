@@ -1,50 +1,40 @@
 package graph
 
-// Consistency tests for the graph-owned packed adjacency: after ANY
-// sequence of shape and capacity mutations, CSR iteration must match the
-// pointer adjacency arc for arc (same edges, same order, same capacities),
-// and the cheap mutations must stay on the incremental path (no full
-// rebuild for a top-up or a single channel open/close).
+// Consistency tests for the packed adjacency: after ANY sequence of shape
+// and capacity mutations, each node's arcs must be exactly its live
+// incident edges in ascending EdgeID (the order rule, recomputed here from
+// the edge table), and the cheap mutations must stay on the incremental
+// path (no relayout for a top-up or a single channel open/close).
 
 import (
 	"math/rand"
 	"testing"
 )
 
-// checkCSRMatchesAdj verifies slab/span/caps/pos against the pointer
-// adjacency, which remains the order source of truth.
-func checkCSRMatchesAdj(t *testing.T, g *Graph) {
+// checkCSRLayout checks the internal layout (ValidateSnapshot) and then
+// each node's arcs against a reference built by scanning the edge table in
+// id order.
+func checkCSRLayout(t *testing.T, g *Graph) {
 	t.Helper()
-	if !g.csr.ok {
-		t.Fatal("CSR not built")
+	if err := ValidateSnapshot(g); err != nil {
+		t.Fatal(err)
 	}
-	c := &g.csr
-	if len(c.span) != g.NumNodes() {
-		t.Fatalf("span len %d, nodes %d", len(c.span), g.NumNodes())
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		s := c.span[u]
-		if int(s.n) != len(g.adj[u]) {
-			t.Fatalf("node %d: span has %d arcs, adj has %d", u, s.n, len(g.adj[u]))
+	want := make([][]EdgeID, g.NumNodes())
+	for id, e := range g.edges {
+		if !g.removed[id] {
+			want[e.U] = append(want[e.U], EdgeID(id))
+			want[e.V] = append(want[e.V], EdgeID(id))
 		}
-		for i, eid := range g.adj[u] {
-			arc := c.slab[s.off+int32(i)]
-			if EdgeID(uint32(arc)) != eid {
-				t.Fatalf("node %d arc %d: slab edge %d, adj edge %d", u, i, uint32(arc), eid)
-			}
-			e := g.edges[eid]
-			if NodeID(arc>>32) != e.Other(NodeID(u)) {
-				t.Fatalf("node %d arc %d: slab other %d, want %d", u, i, arc>>32, e.Other(NodeID(u)))
-			}
-			if c.caps[s.off+int32(i)] != e.Capacity(NodeID(u)) {
-				t.Fatalf("node %d arc %d: slab cap %g, want %g", u, i, c.caps[s.off+int32(i)], e.Capacity(NodeID(u)))
-			}
-			side := 0
-			if e.V == NodeID(u) {
-				side = 1
-			}
-			if c.pos[eid][side] != s.off+int32(i) {
-				t.Fatalf("edge %d side %d: pos %d, arc actually at %d", eid, side, c.pos[eid][side], s.off+int32(i))
+	}
+	for u := range want {
+		arcs := g.Arcs(NodeID(u))
+		if len(arcs) != len(want[u]) {
+			t.Fatalf("node %d: %d arcs, %d live incident edges", u, len(arcs), len(want[u]))
+		}
+		for i, eid := range want[u] {
+			if arcs[i].Edge() != eid || arcs[i].To() != g.edges[eid].Other(NodeID(u)) {
+				t.Fatalf("node %d arc %d: edge %d to %d, want edge %d to %d",
+					u, i, arcs[i].Edge(), arcs[i].To(), eid, g.edges[eid].Other(NodeID(u)))
 			}
 		}
 	}
@@ -99,24 +89,22 @@ func churnStep(rng *rand.Rand, g *Graph) {
 }
 
 // TestCSRMatchesAdjUnderChurn is the property test: after any seeded churn
-// timeline, CSR neighbor iteration equals pointer-adjacency iteration
-// exactly.
+// timeline, every node's arcs follow the order rule exactly.
 func TestCSRMatchesAdjUnderChurn(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomTestGraph(t, seed+500, 40, 80)
-		g.csrEnsure()
-		checkCSRMatchesAdj(t, g)
+		checkCSRLayout(t, g)
 		for step := 0; step < 600; step++ {
 			churnStep(rng, g)
 			if step%37 == 0 {
-				checkCSRMatchesAdj(t, g)
+				checkCSRLayout(t, g)
 			}
 		}
-		checkCSRMatchesAdj(t, g)
+		checkCSRLayout(t, g)
 		// And the CSR the queries see is the one we checked: a query after
 		// the timeline must agree with a from-scratch finder on a clone
-		// (whose CSR is a fresh dense build).
+		// (whose CSR is a fresh dense layout).
 		pf := NewPathFinder(g)
 		ref := NewPathFinder(g.Clone())
 		for q := 0; q < 50; q++ {
@@ -132,7 +120,7 @@ func TestCSRMatchesAdjUnderChurn(t *testing.T) {
 }
 
 // TestTopUpStaysIncremental pins the dirty-region fix: a one-channel top-up
-// must not force a CSR rebuild or a full capacity re-sync — it lands as two
+// must not force a CSR relayout or a full capacity re-sync — it lands as two
 // arc-slot writes.
 func TestTopUpStaysIncremental(t *testing.T) {
 	g := randomTestGraph(t, 42, 200, 400)
@@ -141,8 +129,8 @@ func TestTopUpStaysIncremental(t *testing.T) {
 		t.Fatal("no widest path in connected graph")
 	}
 	base := g.CSRStats()
-	if base.Rebuilds != 1 {
-		t.Fatalf("expected exactly the lazy initial build, got %d rebuilds", base.Rebuilds)
+	if base.Compactions != 0 {
+		t.Fatalf("a growth-only build compacted %d times, want none", base.Compactions)
 	}
 	e := g.Edge(0)
 	g.SetCapacity(0, e.CapFwd+5, e.CapRev+5)
@@ -150,8 +138,8 @@ func TestTopUpStaysIncremental(t *testing.T) {
 		t.Fatal("no widest path after top-up")
 	}
 	after := g.CSRStats()
-	if after.Rebuilds != base.Rebuilds {
-		t.Fatalf("top-up forced a CSR rebuild (%d -> %d)", base.Rebuilds, after.Rebuilds)
+	if after.Compactions != base.Compactions {
+		t.Fatalf("top-up forced a CSR relayout (%d -> %d)", base.Compactions, after.Compactions)
 	}
 	if after.CapacityWrites != base.CapacityWrites+1 {
 		t.Fatalf("expected 1 incremental capacity write, got %d", after.CapacityWrites-base.CapacityWrites)
@@ -169,7 +157,7 @@ func TestTopUpStaysIncremental(t *testing.T) {
 }
 
 // TestChurnStaysIncremental pins that channel opens/closes and node joins
-// apply in place rather than rebuilding the O(E) layout.
+// apply in place rather than relaying out the O(E) slab.
 func TestChurnStaysIncremental(t *testing.T) {
 	g := randomTestGraph(t, 43, 200, 400)
 	pf := NewPathFinder(g)
@@ -188,11 +176,79 @@ func TestChurnStaysIncremental(t *testing.T) {
 	}
 	pf.UnitShortestPath(0, v)
 	after := g.CSRStats()
-	if after.Rebuilds != base.Rebuilds {
-		t.Fatalf("churn forced %d CSR rebuilds", after.Rebuilds-base.Rebuilds)
+	if after.Compactions != base.Compactions {
+		t.Fatalf("churn forced %d CSR relayouts", after.Compactions-base.Compactions)
 	}
 	if after.IncrementalOps != base.IncrementalOps+4 {
 		t.Fatalf("expected 4 incremental ops, got %d", after.IncrementalOps-base.IncrementalOps)
+	}
+}
+
+// TestCSRCompaction drives the compaction branch: churn that closes three
+// channels per open thins the live arcs below a quarter of a slab longer
+// than 1024 slots. The relayout must leave a tight slab, a layout that
+// passes every check, and the same answers as a clone's fresh layout, and
+// it must keep doing so as churn continues on the compacted slab.
+func TestCSRCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := randomTestGraph(t, 44, 200, 800)
+	live := make([]EdgeID, 0, g.NumEdges())
+	for id := 0; id < g.NumEdges(); id++ {
+		live = append(live, EdgeID(id))
+	}
+	churn := func() {
+		for i := 0; i < 3 && len(live) > 0; i++ {
+			j := rng.Intn(len(live))
+			if err := g.RemoveEdge(live[j]); err != nil {
+				t.Fatal(err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		u, v := NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()))
+		if u == v {
+			return
+		}
+		id, err := g.AddEdge(u, v, 1+rng.Float64()*99, 1+rng.Float64()*99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, id)
+	}
+	var before CSRStats
+	for step := 0; g.CSRStats().Compactions == 0; step++ {
+		if step == 2000 {
+			t.Fatal("churn never compacted the slab")
+		}
+		before = g.CSRStats()
+		churn()
+	}
+	if before.SlabLen <= 1024 || before.SlabLen-before.Arcs <= before.SlabLen/2 {
+		t.Fatalf("compacted a slab of %d slots holding %d arcs; want over 1024 slots, over half unused",
+			before.SlabLen, before.Arcs)
+	}
+	if s := g.CSRStats(); s.SlabLen != s.Arcs {
+		t.Fatalf("compacted slab has %d slots for %d arcs, want tight", s.SlabLen, s.Arcs)
+	}
+	for round := 0; round < 2; round++ {
+		checkCSRLayout(t, g)
+		pf, ref := NewPathFinder(g), NewPathFinder(g.Clone())
+		for q := 0; q < 200; q++ {
+			src, dst := NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()))
+			got, okG := pf.UnitShortestPath(src, dst)
+			want, okW := ref.UnitShortestPath(src, dst)
+			if okG != okW || (okG && !pathsEqual(got, want)) {
+				t.Fatalf("round %d: unit %d->%d: %v/%v on g, %v/%v on clone", round, src, dst, got, okG, want, okW)
+			}
+			got, okG = pf.WidestPath(src, dst)
+			want, okW = ref.WidestPath(src, dst)
+			if okG != okW || (okG && !pathsEqual(got, want)) {
+				t.Fatalf("round %d: widest %d->%d: %v/%v on g, %v/%v on clone", round, src, dst, got, okG, want, okW)
+			}
+		}
+		for i := 0; i < 50; i++ { // growth on the compacted slab migrates every region
+			churn()
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestRemoveEdge(t *testing.T) {
 		t.Fatalf("tombstone endpoints = %d-%d, want 1-2", e.U, e.V)
 	}
 	// Routing detours around the removed edge via 0-3.
-	p, ok := g.ShortestPath(1, 2, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(1, 2, UnitWeight)
 	if !ok {
 		t.Fatal("no path after removal; expected detour 1-0-3-2")
 	}
@@ -68,7 +68,7 @@ func TestRemoveEdge(t *testing.T) {
 
 func TestPathValidRejectsRemovedEdge(t *testing.T) {
 	g := lineGraph(t, 3)
-	p, ok := g.ShortestPath(0, 2, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(0, 2, UnitWeight)
 	if !ok || !p.Valid(g) {
 		t.Fatal("setup: expected valid path 0-1-2")
 	}

@@ -1,7 +1,7 @@
 package graph
 
-// Equivalence tests for the unit-weight fast paths and the CSR adjacency
-// mirror: every specialized query must return bit-identical paths to its
+// Equivalence tests for the unit-weight fast paths and the packed CSR
+// adjacency: every specialized query must return bit-identical paths to its
 // generic counterpart — not merely equally-short ones. Dijkstra tie-breaking
 // is observable through the simulator (different equal-cost paths change
 // payment trajectories and therefore figure outputs), so these tests are
@@ -273,9 +273,9 @@ func TestEdgeDisjointWidestPathsFinderMatchesClone(t *testing.T) {
 	}
 }
 
-// TestCSRInvalidation exercises the adjacency mirror across topology and
+// TestCSRInvalidation exercises the packed adjacency across topology and
 // capacity mutations: results must track the live graph, never a stale
-// mirror.
+// layout.
 func TestCSRInvalidation(t *testing.T) {
 	g := New(4)
 	e01, _ := g.AddEdge(0, 1, 10, 10)
@@ -284,7 +284,7 @@ func TestCSRInvalidation(t *testing.T) {
 	if p, ok := pf.UnitShortestPath(0, 2); !ok || p.Len() != 2 {
 		t.Fatalf("initial path = %v ok=%v", p, ok)
 	}
-	// Adding a shortcut must invalidate the mirror.
+	// Adding a shortcut must be seen.
 	if _, err := g.AddEdge(0, 2, 5, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -298,8 +298,8 @@ func TestCSRInvalidation(t *testing.T) {
 	if p, ok := pf.UnitShortestPath(0, 2); !ok || p.Len() != 2 {
 		t.Fatalf("post-RemoveEdge path = %v ok=%v", p, ok)
 	}
-	// Widest must see capacity rewrites (the capacity column has its own
-	// invalidation stamp).
+	// Widest must see capacity rewrites (two writes to the capacity
+	// column).
 	if p, ok := pf.WidestPath(0, 2); !ok || p.Len() != 2 {
 		t.Fatalf("widest = %v ok=%v", p, ok)
 	}
@@ -307,7 +307,7 @@ func TestCSRInvalidation(t *testing.T) {
 	if _, ok := pf.WidestPath(0, 2); ok {
 		t.Fatal("widest found a path through a zero-capacity channel")
 	}
-	// A node arrival grows the mirror.
+	// A node arrival grows the adjacency.
 	v := g.AddNode()
 	if _, err := g.AddEdge(2, v, 3, 3); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,9 @@
 //     (capacity-respecting);
 //   - Yen's k-shortest-paths output is distinct and cost-sorted, with the
 //     head equal to the plain shortest path;
-//   - the allocation-free PathFinder fast paths agree with the baseline
-//     Graph algorithms (cost-level equivalence; tie-breaks may differ only
-//     in equal-cost paths);
+//   - the allocation-free PathFinder fast paths agree with a fresh
+//     finder's generic algorithms (cost-level equivalence; tie-breaks may
+//     differ only in equal-cost paths);
 //   - the unit-weight Yen and EDS fast paths return exactly the paths of
 //     their generic references (KShortestPaths under UnitWeight; repeated
 //     ShortestPath with +Inf on extracted edges), ties included.
@@ -144,7 +144,7 @@ func FuzzPathFinder(f *testing.F) {
 		// Weighted shortest path: finder vs baseline, cost-equivalent.
 		w := func(e Edge, from NodeID) float64 { return 1 + 1/e.Capacity(from) }
 		fp, fok := pf.ShortestPath(src, dst, w)
-		bp, bok := g.ShortestPath(src, dst, w)
+		bp, bok := NewPathFinder(g).ShortestPath(src, dst, w)
 		if fok != bok {
 			t.Fatalf("finder reachability %v != baseline %v", fok, bok)
 		}
@@ -171,7 +171,7 @@ func FuzzPathFinder(f *testing.F) {
 		// Widest path: finder vs baseline bottleneck equality, and the
 		// bottleneck must not beat the best single-arc bound.
 		wp, wok := pf.WidestPath(src, dst)
-		bwp, bwok := g.WidestPath(src, dst)
+		bwp, bwok := NewPathFinder(g).WidestPath(src, dst)
 		if wok != bwok {
 			t.Fatalf("widest reachability %v != baseline %v", wok, bwok)
 		}
@@ -275,6 +275,68 @@ func FuzzKShortestPaths(f *testing.F) {
 						t.Fatalf("%s: edge %d reused by paths %d and %d", tc.name, eid, prev, i)
 					}
 					used[eid] = i
+				}
+			}
+		}
+	})
+}
+
+// FuzzGraphChurn runs a byte-driven mutation sequence — node joins, channel
+// opens and closes, top-ups — and then checks the packed adjacency: the
+// layout and order rule on the graph and on its clone, and identical unit
+// and widest answers from both for every node pair. The first byte sets the
+// starting node count; each following triple (op, a, b) is one mutation.
+func FuzzGraphChurn(f *testing.F) {
+	f.Add([]byte{4, 1, 0, 1, 1, 1, 2, 1, 2, 3, 3, 0, 9, 2, 0, 0, 0, 0, 0, 1, 4, 3})
+	f.Add([]byte{2, 0, 0, 0, 1, 0, 1, 1, 0, 2, 1, 1, 2, 2, 0, 1, 1, 0, 2, 3, 1, 7})
+	f.Add([]byte{6, 1, 0, 5, 1, 1, 5, 1, 2, 5, 1, 3, 5, 1, 4, 5, 2, 1, 0, 2, 3, 0, 1, 0, 5, 3, 2, 50})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := New(int(data[0]%16) + 2)
+		for rest := data[1:]; len(rest) >= 3; rest = rest[3:] {
+			op, a, b := rest[0]%4, int(rest[1]), int(rest[2])
+			switch {
+			case op == 0:
+				if g.NumNodes() < 24 { // keeps the all-pairs check cheap
+					g.AddNode()
+				}
+			case op == 1:
+				u, v := NodeID(a%g.NumNodes()), NodeID(b%g.NumNodes())
+				if u != v {
+					if _, err := g.AddEdge(u, v, float64(a%7), float64(b%7)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case g.NumEdges() == 0:
+			case op == 2:
+				if id := EdgeID(a % g.NumEdges()); !g.EdgeRemoved(id) {
+					if err := g.RemoveEdge(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				if id := EdgeID(a % g.NumEdges()); !g.EdgeRemoved(id) {
+					g.SetCapacity(id, float64(b%5), float64(b%3))
+				}
+			}
+		}
+		checkCSRLayout(t, g)
+		c := g.Clone()
+		checkCSRLayout(t, c)
+		pf, ref := NewPathFinder(g), NewPathFinder(c)
+		for src := NodeID(0); int(src) < g.NumNodes(); src++ {
+			for dst := NodeID(0); int(dst) < g.NumNodes(); dst++ {
+				got, okG := pf.UnitShortestPath(src, dst)
+				want, okW := ref.UnitShortestPath(src, dst)
+				if okG != okW || (okG && !pathsEqual(got, want)) {
+					t.Fatalf("unit %d->%d: %v/%v on g, %v/%v on clone", src, dst, got, okG, want, okW)
+				}
+				got, okG = pf.WidestPath(src, dst)
+				want, okW = ref.WidestPath(src, dst)
+				if okG != okW || (okG && !pathsEqual(got, want)) {
+					t.Fatalf("widest %d->%d: %v/%v on g, %v/%v on clone", src, dst, got, okG, want, okW)
 				}
 			}
 		}

@@ -68,19 +68,16 @@ func (e Edge) Other(from NodeID) NodeID {
 // side tables (the PCN's channel array) stay aligned across removals.
 type Graph struct {
 	edges   []Edge
-	adj     [][]EdgeID // node -> incident edge ids (live edges only)
-	removed []bool     // edge id -> tombstoned by RemoveEdge
+	removed []bool // edge id -> tombstoned by RemoveEdge
 	numLive int
 	// mutations counts adjacency-shape changes (AddNode/AddEdge/RemoveEdge)
 	// and doubles as the shape-journal sequence number; capMutations
-	// additionally counts capacity rewrites (SetCapacity). Since PR 6 the
-	// packed CSR adjacency is graph-owned and maintained incrementally, so
-	// the counters no longer invalidate anything — they remain as cheap
+	// additionally counts capacity rewrites (SetCapacity). They are cheap
 	// change detectors for external caches.
 	mutations    uint64
 	capMutations uint64
-	// csr is the packed primary adjacency (see csr.go), built lazily on the
-	// first path query and updated in place by the mutators below.
+	// csr is the graph's adjacency (see csr.go), maintained in place by the
+	// mutators below.
 	csr csrState
 	// journal records shape mutations for derived-structure observers (see
 	// journal.go); journalBase is the sequence number of journal[0].
@@ -88,28 +85,16 @@ type Graph struct {
 	journalBase uint64
 }
 
-// Mutations returns the adjacency mutation counter.
-func (g *Graph) Mutations() uint64 { return g.mutations }
-
-// EnsureCSR forces the lazy packed-adjacency build now. Path queries trigger
-// the build implicitly on first use; callers about to share the graph with
-// concurrent readers (speculative planning workers, each holding a private
-// PathFinder over this graph) call this from the owning goroutine first so
-// no reader races the one-time construction. After the build the CSR is
-// maintained in place by the mutators, which such callers must serialize
-// against readers themselves (see pcn's speculation quiesce contract).
-func (g *Graph) EnsureCSR() { g.csrEnsure() }
-
 // CapMutations returns the combined adjacency+capacity mutation counter.
 func (g *Graph) CapMutations() uint64 { return g.mutations + g.capMutations }
 
 // New returns a graph with n isolated nodes.
 func New(n int) *Graph {
-	return &Graph{adj: make([][]EdgeID, n)}
+	return &Graph{csr: csrState{span: make([]arcSpan, n)}}
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.adj) }
+func (g *Graph) NumNodes() int { return len(g.csr.span) }
 
 // NumEdges returns the number of edge slots ever allocated, including
 // removed-edge tombstones; valid EdgeIDs are [0, NumEdges). Use NumLiveEdges
@@ -121,13 +106,10 @@ func (g *Graph) NumLiveEdges() int { return g.numLive }
 
 // AddNode appends a new isolated node and returns its ID.
 func (g *Graph) AddNode() NodeID {
-	g.adj = append(g.adj, nil)
+	id := NodeID(len(g.csr.span))
+	g.csrAddNode()
 	g.mutations++
-	id := NodeID(len(g.adj) - 1)
 	g.journalAppend(Mutation{Kind: MutAddNode, Edge: -1, U: id, V: -1})
-	if g.csr.ok {
-		g.csrAddNode()
-	}
 	return id
 }
 
@@ -137,20 +119,16 @@ func (g *Graph) AddEdge(u, v NodeID, capFwd, capRev float64) (EdgeID, error) {
 	if u == v {
 		return 0, fmt.Errorf("graph: self-loop on node %d", u)
 	}
-	if int(u) < 0 || int(u) >= len(g.adj) || int(v) < 0 || int(v) >= len(g.adj) {
-		return 0, fmt.Errorf("graph: endpoint out of range: %d-%d with %d nodes", u, v, len(g.adj))
+	if n := g.NumNodes(); int(u) < 0 || int(u) >= n || int(v) < 0 || int(v) >= n {
+		return 0, fmt.Errorf("graph: endpoint out of range: %d-%d with %d nodes", u, v, n)
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, U: u, V: v, CapFwd: capFwd, CapRev: capRev})
 	g.removed = append(g.removed, false)
-	g.adj[u] = append(g.adj[u], id)
-	g.adj[v] = append(g.adj[v], id)
 	g.numLive++
 	g.mutations++
 	g.journalAppend(Mutation{Kind: MutAddEdge, Edge: id, U: u, V: v})
-	if g.csr.ok {
-		g.csrAddEdge(id)
-	}
+	g.csrAddEdge(id)
 	return id, nil
 }
 
@@ -167,27 +145,12 @@ func (g *Graph) RemoveEdge(id EdgeID) error {
 		return fmt.Errorf("graph: edge %d already removed", id)
 	}
 	e := g.edges[id]
-	if g.csr.ok {
-		g.csrRemoveEdge(id) // before the tombstone, while pos is live
-	}
-	g.adj[e.U] = dropEdgeID(g.adj[e.U], id)
-	g.adj[e.V] = dropEdgeID(g.adj[e.V], id)
+	g.csrRemoveEdge(id)
 	g.removed[id] = true
 	g.numLive--
 	g.mutations++
 	g.journalAppend(Mutation{Kind: MutRemoveEdge, Edge: id, U: e.U, V: e.V})
 	return nil
-}
-
-// dropEdgeID removes one occurrence of id, preserving order (adjacency order
-// is traversal order, which determinism tests depend on).
-func dropEdgeID(ids []EdgeID, id EdgeID) []EdgeID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }
 
 // EdgeRemoved reports whether an edge slot has been tombstoned.
@@ -198,43 +161,35 @@ func (g *Graph) EdgeRemoved(id EdgeID) bool {
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 
-// SetCapacity updates the directional capacities of an edge. With the CSR
-// built, the rewrite lands as two O(1) arc-slot writes — a top-up never
-// invalidates the packed adjacency.
+// SetCapacity updates the directional capacities of an edge. The rewrite
+// lands as two O(1) writes to the adjacency's capacity column.
 func (g *Graph) SetCapacity(id EdgeID, capFwd, capRev float64) {
 	g.edges[id].CapFwd = capFwd
 	g.edges[id].CapRev = capRev
 	g.capMutations++
-	if g.csr.ok {
-		g.csrSetCapacity(id)
-	}
+	g.csrSetCapacity(id)
 }
 
-// Incident returns the IDs of edges incident to node u. The returned slice
-// must not be modified.
-func (g *Graph) Incident(u NodeID) []EdgeID { return g.adj[u] }
+// Arcs returns u's arcs: one per live incident edge, in ascending EdgeID
+// order. The slice views the graph's packed adjacency without copying, so
+// it must not be modified and is valid only until the next shape mutation
+// (RemoveEdge compacts it in place).
+func (g *Graph) Arcs(u NodeID) []Arc {
+	s := g.csr.span[u]
+	return g.csr.slab[s.off : s.off+s.n : s.off+s.n]
+}
 
 // Degree returns the number of edges incident to u.
-func (g *Graph) Degree(u NodeID) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u NodeID) int { return int(g.csr.span[u].n) }
 
 // HasEdgeBetween reports whether at least one edge directly connects u and v.
 func (g *Graph) HasEdgeBetween(u, v NodeID) bool {
-	for _, id := range g.adj[u] {
-		if g.edges[id].Other(u) == v {
+	for _, a := range g.Arcs(u) {
+		if a.To() == v {
 			return true
 		}
 	}
 	return false
-}
-
-// EdgeBetween returns the first edge between u and v, if any.
-func (g *Graph) EdgeBetween(u, v NodeID) (Edge, bool) {
-	for _, id := range g.adj[u] {
-		if g.edges[id].Other(u) == v {
-			return g.edges[id], true
-		}
-	}
-	return Edge{}, false
 }
 
 // Edges returns a copy of all live (non-removed) edges.
@@ -249,18 +204,16 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Clone returns a deep copy of the graph, including removed-edge tombstones
-// (edge IDs stay aligned between a graph and its clone).
+// (edge IDs stay aligned between a graph and its clone). The clone's
+// adjacency is densely packed, whatever slack the original carries.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		edges:   make([]Edge, len(g.edges)),
-		adj:     make([][]EdgeID, len(g.adj)),
+		edges:   append([]Edge(nil), g.edges...),
 		removed: append([]bool(nil), g.removed...),
 		numLive: g.numLive,
+		csr:     csrState{span: append([]arcSpan(nil), g.csr.span...)},
 	}
-	copy(c.edges, g.edges)
-	for i, a := range g.adj {
-		c.adj[i] = append([]EdgeID(nil), a...)
-	}
+	c.csrPack()
 	return c
 }
 
@@ -356,25 +309,14 @@ func (g *Graph) BFSHops(src NodeID) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, eid := range g.adj[u] {
-			v := g.edges[eid].Other(u)
-			if dist[v] < 0 {
+		for _, a := range g.Arcs(u) {
+			if v := a.To(); dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
 			}
 		}
 	}
 	return dist
-}
-
-// AllPairsHops computes the hop-distance matrix via one BFS per node.
-// The result is symmetric; unreachable pairs have -1.
-func (g *Graph) AllPairsHops() [][]int {
-	out := make([][]int, g.NumNodes())
-	for i := range out {
-		out[i] = g.BFSHops(NodeID(i))
-	}
-	return out
 }
 
 // Connected reports whether the graph is connected (vacuously true for 0 or
@@ -390,22 +332,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// ShortestPath runs Dijkstra from src to dst under w and returns the
-// minimum-cost path. ok is false when dst is unreachable. Repeated queries
-// should share a PathFinder instead, which keeps the Dijkstra scratch
-// buffers across calls.
-func (g *Graph) ShortestPath(src, dst NodeID, w WeightFunc) (Path, bool) {
-	return NewPathFinder(g).ShortestPath(src, dst, w)
-}
-
-// WidestPath returns the path from src to dst maximizing the bottleneck
-// directional capacity (a maximin Dijkstra). Ties are broken by hop count.
-// ok is false when dst is unreachable through positive-capacity arcs.
-// Repeated queries should share a PathFinder.
-func (g *Graph) WidestPath(src, dst NodeID) (Path, bool) {
-	return NewPathFinder(g).WidestPath(src, dst)
 }
 
 func reconstruct(src, dst NodeID, prevNode []NodeID, prevEdge []EdgeID) Path {
@@ -435,41 +361,10 @@ func reconstructInto(nodes []NodeID, edges []EdgeID, src, dst NodeID, prevNode [
 	return nodes, edges
 }
 
-// KShortestPaths implements Yen's algorithm, returning up to k loopless
-// minimum-cost paths from src to dst under w, in nondecreasing cost order.
-// Repeated queries should share a PathFinder.
-func (g *Graph) KShortestPaths(src, dst NodeID, k int, w WeightFunc) []Path {
-	return NewPathFinder(g).KShortestPaths(src, dst, k, w)
-}
-
 func pathKey(p Path) string {
 	b := make([]byte, 0, len(p.Nodes)*4)
 	for _, n := range p.Nodes {
 		b = append(b, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	}
 	return string(b)
-}
-
-// EdgeDisjointShortestPaths greedily extracts up to k pairwise edge-disjoint
-// shortest (fewest-hop) paths: find a shortest path, remove its edges,
-// repeat. This matches the EDS path type in the paper's Table II.
-// Repeated queries should share a PathFinder.
-func (g *Graph) EdgeDisjointShortestPaths(src, dst NodeID, k int) []Path {
-	return NewPathFinder(g).EdgeDisjointShortestPaths(src, dst, k)
-}
-
-// EdgeDisjointWidestPaths greedily extracts up to k pairwise edge-disjoint
-// widest paths (the EDW path type): find the widest path, mask its edges,
-// repeat. Repeated queries should share a PathFinder and call its
-// EdgeDisjointWidestPaths method directly.
-func (g *Graph) EdgeDisjointWidestPaths(src, dst NodeID, k int) []Path {
-	return NewPathFinder(g).EdgeDisjointWidestPaths(src, dst, k)
-}
-
-// HighestFundPaths implements the paper's "Heuristic" path type: pick up to
-// k loopless paths with the highest bottleneck funds, by running Yen's
-// algorithm under an inverse-capacity weight and reranking by bottleneck.
-// Repeated queries should share a PathFinder.
-func (g *Graph) HighestFundPaths(src, dst NodeID, k int) []Path {
-	return NewPathFinder(g).HighestFundPaths(src, dst, k)
 }

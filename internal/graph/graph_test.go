@@ -98,7 +98,10 @@ func TestConnectedTrivial(t *testing.T) {
 
 func TestAllPairsHopsSymmetric(t *testing.T) {
 	g := line(6, 1)
-	m := g.AllPairsHops()
+	m := make([][]int, g.NumNodes())
+	for i := range m {
+		m[i] = g.BFSHops(NodeID(i))
+	}
 	for i := range m {
 		for j := range m[i] {
 			if m[i][j] != m[j][i] {
@@ -119,7 +122,7 @@ func TestShortestPathPrefersFewerHops(t *testing.T) {
 	mustEdge(t, g, 0, 2, 1, 1)
 	mustEdge(t, g, 2, 4, 1, 1)
 	mustEdge(t, g, 4, 3, 1, 1)
-	p, ok := g.ShortestPath(0, 3, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(0, 3, UnitWeight)
 	if !ok || p.Len() != 2 {
 		t.Fatalf("path = %+v ok=%v, want 2 hops", p, ok)
 	}
@@ -132,7 +135,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 	g := New(4)
 	mustEdge(t, g, 0, 1, 1, 1)
 	mustEdge(t, g, 2, 3, 1, 1)
-	if _, ok := g.ShortestPath(0, 3, UnitWeight); ok {
+	if _, ok := NewPathFinder(g).ShortestPath(0, 3, UnitWeight); ok {
 		t.Fatal("found path across disconnected components")
 	}
 }
@@ -149,7 +152,7 @@ func TestShortestPathRespectsWeights(t *testing.T) {
 		}
 		return 1
 	}
-	p, ok := g.ShortestPath(0, 1, w)
+	p, ok := NewPathFinder(g).ShortestPath(0, 1, w)
 	if !ok || p.Len() != 2 {
 		t.Fatalf("expected the 2-hop detour, got %+v", p)
 	}
@@ -157,7 +160,7 @@ func TestShortestPathRespectsWeights(t *testing.T) {
 
 func TestShortestPathToSelf(t *testing.T) {
 	g := line(3, 1)
-	p, ok := g.ShortestPath(1, 1, UnitWeight)
+	p, ok := NewPathFinder(g).ShortestPath(1, 1, UnitWeight)
 	if !ok || p.Len() != 0 || len(p.Nodes) != 1 {
 		t.Fatalf("self path = %+v ok=%v", p, ok)
 	}
@@ -168,7 +171,7 @@ func TestCapacityFilteredUnitWeight(t *testing.T) {
 	mustEdge(t, g, 0, 1, 0.5, 0.5)
 	mustEdge(t, g, 0, 2, 5, 5)
 	mustEdge(t, g, 2, 1, 5, 5)
-	p, ok := g.ShortestPath(0, 1, CapacityFilteredUnitWeight(1))
+	p, ok := NewPathFinder(g).ShortestPath(0, 1, CapacityFilteredUnitWeight(1))
 	if !ok || p.Len() != 2 {
 		t.Fatalf("expected filtered detour, got %+v ok=%v", p, ok)
 	}
@@ -180,7 +183,7 @@ func TestWidestPathPicksHighCapacity(t *testing.T) {
 	mustEdge(t, g, 0, 1, 2, 2)
 	mustEdge(t, g, 0, 2, 100, 100)
 	mustEdge(t, g, 2, 1, 50, 50)
-	p, ok := g.WidestPath(0, 1)
+	p, ok := NewPathFinder(g).WidestPath(0, 1)
 	if !ok {
 		t.Fatal("no widest path")
 	}
@@ -195,7 +198,7 @@ func TestWidestPathTieBreaksOnHops(t *testing.T) {
 	mustEdge(t, g, 0, 1, 10, 10)
 	mustEdge(t, g, 0, 2, 10, 10)
 	mustEdge(t, g, 2, 1, 10, 10)
-	p, ok := g.WidestPath(0, 1)
+	p, ok := NewPathFinder(g).WidestPath(0, 1)
 	if !ok || p.Len() != 1 {
 		t.Fatalf("expected 1-hop path, got %+v", p)
 	}
@@ -205,10 +208,10 @@ func TestWidestPathDirectional(t *testing.T) {
 	// The only route 0→1 has zero capacity in that direction.
 	g := New(2)
 	mustEdge(t, g, 0, 1, 0, 10)
-	if _, ok := g.WidestPath(0, 1); ok {
+	if _, ok := NewPathFinder(g).WidestPath(0, 1); ok {
 		t.Fatal("found path through zero-capacity direction")
 	}
-	if p, ok := g.WidestPath(1, 0); !ok || p.Bottleneck(g) != 10 {
+	if p, ok := NewPathFinder(g).WidestPath(1, 0); !ok || p.Bottleneck(g) != 10 {
 		t.Fatal("reverse direction should be routable at width 10")
 	}
 }
@@ -221,7 +224,7 @@ func TestKShortestPathsOrderAndUniqueness(t *testing.T) {
 	mustEdge(t, g, 0, 2, 1, 1)
 	mustEdge(t, g, 2, 3, 1, 1)
 	mustEdge(t, g, 1, 2, 1, 1)
-	paths := g.KShortestPaths(0, 3, 10, UnitWeight)
+	paths := NewPathFinder(g).KShortestPaths(0, 3, 10, UnitWeight)
 	if len(paths) < 3 {
 		t.Fatalf("found %d paths, want >= 3", len(paths))
 	}
@@ -254,7 +257,7 @@ func TestKShortestPathsOrderAndUniqueness(t *testing.T) {
 
 func TestKShortestPathsKOne(t *testing.T) {
 	g := line(4, 1)
-	paths := g.KShortestPaths(0, 3, 1, UnitWeight)
+	paths := NewPathFinder(g).KShortestPaths(0, 3, 1, UnitWeight)
 	if len(paths) != 1 || paths[0].Len() != 3 {
 		t.Fatalf("paths = %+v", paths)
 	}
@@ -262,7 +265,7 @@ func TestKShortestPathsKOne(t *testing.T) {
 
 func TestKShortestPathsNoneWhenDisconnected(t *testing.T) {
 	g := New(2)
-	if paths := g.KShortestPaths(0, 1, 3, UnitWeight); paths != nil {
+	if paths := NewPathFinder(g).KShortestPaths(0, 1, 3, UnitWeight); paths != nil {
 		t.Fatalf("expected nil, got %+v", paths)
 	}
 }
@@ -277,7 +280,7 @@ func TestEdgeDisjointShortestPaths(t *testing.T) {
 	mustEdge(t, g, 0, 4, 1, 1)
 	mustEdge(t, g, 4, 5, 1, 1)
 	mustEdge(t, g, 5, 3, 1, 1)
-	paths := g.EdgeDisjointShortestPaths(0, 3, 5)
+	paths := NewPathFinder(g).EdgeDisjointShortestPaths(0, 3, 5)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}
@@ -302,7 +305,7 @@ func TestEdgeDisjointWidestPaths(t *testing.T) {
 	mustEdge(t, g, 1, 3, 100, 100)
 	mustEdge(t, g, 0, 2, 10, 10)
 	mustEdge(t, g, 2, 3, 10, 10)
-	paths := g.EdgeDisjointWidestPaths(0, 3, 5)
+	paths := NewPathFinder(g).EdgeDisjointWidestPaths(0, 3, 5)
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2", len(paths))
 	}
@@ -317,7 +320,7 @@ func TestHighestFundPaths(t *testing.T) {
 	mustEdge(t, g, 1, 3, 5, 5)
 	mustEdge(t, g, 0, 2, 50, 50)
 	mustEdge(t, g, 2, 3, 50, 50)
-	paths := g.HighestFundPaths(0, 3, 1)
+	paths := NewPathFinder(g).HighestFundPaths(0, 3, 1)
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -420,12 +423,12 @@ func TestPropertyWidestPathIsWidest(t *testing.T) {
 		src := rng.New(seed)
 		g := randomConnectedGraph(src, 12, 15, 100)
 		s, d := NodeID(0), NodeID(11)
-		wp, ok := g.WidestPath(s, d)
+		wp, ok := NewPathFinder(g).WidestPath(s, d)
 		if !ok {
 			return false // graph is connected, must exist
 		}
 		wb := wp.Bottleneck(g)
-		for _, p := range g.KShortestPaths(s, d, 5, UnitWeight) {
+		for _, p := range NewPathFinder(g).KShortestPaths(s, d, 5, UnitWeight) {
 			if p.Bottleneck(g) > wb+1e-9 {
 				return false
 			}
@@ -443,7 +446,7 @@ func TestPropertyMaxFlowAtLeastWidest(t *testing.T) {
 		src := rng.New(seed)
 		g := randomConnectedGraph(src, 10, 12, 50)
 		s, d := NodeID(0), NodeID(9)
-		wp, ok := g.WidestPath(s, d)
+		wp, ok := NewPathFinder(g).WidestPath(s, d)
 		if !ok {
 			return false
 		}
@@ -507,10 +510,7 @@ func TestHasEdgeBetween(t *testing.T) {
 	if !g.HasEdgeBetween(0, 1) || g.HasEdgeBetween(0, 2) {
 		t.Fatal("HasEdgeBetween wrong")
 	}
-	if e, ok := g.EdgeBetween(1, 2); !ok || e.ID != 1 {
-		t.Fatalf("EdgeBetween = %+v ok=%v", e, ok)
-	}
-	if _, ok := g.EdgeBetween(0, 2); ok {
-		t.Fatal("EdgeBetween found non-existent edge")
+	if !g.HasEdgeBetween(2, 1) || g.HasEdgeBetween(2, 0) {
+		t.Fatal("HasEdgeBetween wrong from the other endpoint")
 	}
 }

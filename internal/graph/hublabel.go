@@ -202,7 +202,6 @@ func (hl *HubLabels) ensureTree(hi int) *hubTree {
 // what makes served paths byte-identical to the finder's.
 func (hl *HubLabels) buildTree(t *hubTree) {
 	g := hl.g
-	g.csrEnsure()
 	n := g.NumNodes()
 	if cap(t.dist) < n {
 		t.dist = make([]int32, n)
@@ -239,12 +238,12 @@ func (hl *HubLabels) buildTree(t *hubTree) {
 		nd := du + 1
 		s := span[u]
 		for _, arc := range slab[s.off : s.off+s.n] {
-			v := NodeID(arc >> 32)
+			v := arc.To()
 			if done[v] || dist[v] >= 0 {
 				continue
 			}
 			dist[v] = int32(nd)
-			prevEdge[v] = int32(uint32(arc))
+			prevEdge[v] = int32(arc.Edge())
 			prevNode[v] = int32(u)
 			hl.heap.push(v, nd)
 		}

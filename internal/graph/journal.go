@@ -46,7 +46,7 @@ func (g *Graph) journalAppend(m Mutation) {
 
 // MutationSeq returns the current shape-mutation sequence number: the seq
 // to pass to MutationsSince to receive only mutations applied after this
-// call. It equals Mutations().
+// call.
 func (g *Graph) MutationSeq() uint64 { return g.mutations }
 
 // MutationsSince returns the shape mutations applied since seq, in order.

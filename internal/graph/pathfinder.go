@@ -11,9 +11,12 @@ import (
 // Repeated queries therefore allocate only the returned Path. Yen's
 // algorithm (KShortestPaths) runs every spur search on the same scratch
 // state, which is where the bulk of the path-selection allocations used to
-// come from.
+// come from. The finder is the only entry point for path queries, even a
+// single one.
 //
 // A PathFinder is not safe for concurrent use; create one per goroutine.
+// Finders on different goroutines may share a graph that nobody mutates
+// meanwhile: queries only read it (the adjacency has no lazily built part).
 // It tracks graph growth lazily, so a long-lived finder stays valid across
 // AddNode/AddEdge (e.g. the multi-star reshape adding client channels).
 type PathFinder struct {
@@ -41,13 +44,9 @@ type PathFinder struct {
 	edgeStamp []uint32
 	edgeGen   uint32
 
-	// uheap serves the unit-weight fast path. The packed arc arrays the
-	// fast paths iterate are no longer finder-private: they live on the
-	// Graph itself (see csr.go) and are maintained incrementally by the
-	// mutators, so a channel open/close costs O(degree) and a top-up O(1)
-	// instead of an O(E) mirror rebuild. Arc order matches g.adj exactly —
-	// traversal order is observable through Dijkstra tie-breaking and must
-	// not change.
+	// uheap serves the unit-weight fast path. Every query iterates the
+	// graph's packed adjacency (see csr.go), whose ascending-EdgeID arc
+	// order is observable through Dijkstra tie-breaking.
 	uheap unitHeap
 
 	// spur scratch: Yen's spur paths are consumed immediately (spliced into
@@ -168,9 +167,9 @@ func (pf *PathFinder) ShortestPath(src, dst NodeID, w WeightFunc) (Path, bool) {
 		if u == dst {
 			break
 		}
-		for _, eid := range g.adj[u] {
+		for _, a := range g.Arcs(u) {
+			eid, v := a.Edge(), a.To()
 			e := g.edges[eid]
-			v := e.Other(u)
 			// A finalized node cannot be improved (weights are nonnegative,
 			// so du+cost >= du >= dist[v]); skipping it before the weight
 			// callback saves the indirect call on roughly half the edge
@@ -232,7 +231,6 @@ func (pf *PathFinder) shortestUnit(src, dst NodeID, banEdges, banNodes bool) (Pa
 // relaxed: that leaves the same prev chain to dst as running until dst pops.
 func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 	pf.begin()
-	pf.g.csrEnsure()
 	pf.uheap.reset()
 	sd := pf.query << 1
 	// Local copies of the scratch arrays: none of them grow during the
@@ -258,11 +256,11 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 			// Clean variant (first searches, landmark detours, access
 			// paths): no ban checks in the inner loop at all.
 			for _, arc := range arcs {
-				v := NodeID(arc >> 32)
+				v := arc.To()
 				if state[v] >= sd {
 					continue
 				}
-				prevEdge[v] = EdgeID(uint32(arc))
+				prevEdge[v] = arc.Edge()
 				prevNode[v] = u
 				state[v] = sd
 				if v == dst {
@@ -275,11 +273,11 @@ func (pf *PathFinder) runUnit(src, dst NodeID, banEdges, banNodes bool) bool {
 		edgeStamp, edgeGen := pf.edgeStamp, pf.edgeGen
 		bannedNode := pf.bannedNode
 		for _, arc := range arcs {
-			eid := EdgeID(uint32(arc))
+			eid := arc.Edge()
 			if banEdges && edgeStamp[eid] == edgeGen {
 				continue
 			}
-			v := NodeID(arc >> 32)
+			v := arc.To()
 			if state[v] >= sd {
 				continue
 			}
@@ -311,7 +309,6 @@ func (pf *PathFinder) UnitShortestPaths(src NodeID, dsts []NodeID) []Path {
 		return out
 	}
 	pf.begin()
-	pf.g.csrEnsure()
 	pf.uheap.reset()
 	sd := pf.query << 1
 	reached := make([]bool, len(dsts))
@@ -337,11 +334,11 @@ func (pf *PathFinder) UnitShortestPaths(src NodeID, dsts []NodeID) []Path {
 		nd := du + 1
 		s := span[u]
 		for _, arc := range slab[s.off : s.off+s.n] {
-			v := NodeID(arc >> 32)
+			v := arc.To()
 			if state[v] >= sd {
 				continue
 			}
-			prevEdge[v] = EdgeID(uint32(arc))
+			prevEdge[v] = arc.Edge()
 			prevNode[v] = u
 			state[v] = sd
 			pf.uheap.push(v, nd)
@@ -367,7 +364,6 @@ func (pf *PathFinder) WidestPath(src, dst NodeID) (Path, bool) {
 // cloned graph did, without the clone.
 func (pf *PathFinder) widestPath(src, dst NodeID, masked bool) (Path, bool) {
 	pf.begin()
-	pf.g.csrEnsure()
 	sd := pf.query << 1
 	state, dist, hops := pf.state, pf.dist, pf.hops
 	prevEdge, prevNode := pf.prevEdge, pf.prevNode
@@ -393,7 +389,7 @@ func (pf *PathFinder) widestPath(src, dst NodeID, masked bool) (Path, bool) {
 		start, end := s.off, s.off+s.n
 		caps := csrCap[start:end]
 		for i, arc := range slab[start:end] {
-			eid := EdgeID(uint32(arc))
+			eid := arc.Edge()
 			if masked && pf.edgeStamp[eid] == pf.edgeGen {
 				continue
 			}
@@ -401,7 +397,7 @@ func (pf *PathFinder) widestPath(src, dst NodeID, masked bool) (Path, bool) {
 			if c <= 0 {
 				continue
 			}
-			v := NodeID(arc >> 32)
+			v := arc.To()
 			nw := du
 			if c < nw {
 				nw = c
@@ -431,8 +427,7 @@ func (pf *PathFinder) widestPath(src, dst NodeID, masked bool) (Path, bool) {
 // EdgeDisjointWidestPaths greedily extracts up to k pairwise edge-disjoint
 // widest paths (the EDW path type) on the finder's scratch state: find the
 // widest path, mask its edges, repeat. Masking uses the stamped edge set,
-// so — unlike Graph.EdgeDisjointWidestPaths — no graph clone and no
-// throwaway finder are built per query; results are identical.
+// so no graph clone is built per query.
 func (pf *PathFinder) EdgeDisjointWidestPaths(src, dst NodeID, k int) []Path {
 	pf.beginEdgeSet()
 	var out []Path

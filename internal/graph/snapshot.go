@@ -2,8 +2,8 @@
 // Graph it also mutates; a serving deployment cannot — query workers need a
 // topology that holds still for the duration of a query while churn writers
 // keep mutating. The SnapshotStore turns the mutable graph into a sequence
-// of immutable epochs: a writer publishes a frozen copy (CSR built, hub
-// labels built), readers pin the current epoch with one atomic load plus a
+// of immutable epochs: a writer publishes a frozen copy (hub labels
+// built), readers pin the current epoch with one atomic load plus a
 // refcount, query it with zero locks on the hot path, and unpin when done.
 //
 // Publication is incremental, not copy-the-world: the store keeps a small
@@ -16,11 +16,11 @@
 // that lose the publication race re-acquire, so a recycled buffer is never
 // read mid-rewrite.
 //
-// Replay applies the identical mutation sequence the live graph executed,
-// so the buffer's adjacency order — and therefore CSR arc order and every
-// Dijkstra tie-break — matches the live graph exactly: a query against the
-// snapshot returns byte-identical paths to the same query against the live
-// graph at publication time. TestSnapshotEquivalence pins this.
+// The buffer's arc order — and therefore every Dijkstra tie-break —
+// matches the live graph exactly, whether it was replayed or cloned, since
+// both follow the ascending-EdgeID order rule (see csr.go): a query against
+// the snapshot returns byte-identical paths to the same query against the
+// live graph at publication time. TestSnapshotEquivalence pins this.
 //
 // Capacity changes are deliberately second-class: the shape journal excludes
 // SetCapacity (a balance-gossip refresh writes O(E) capacities per tick), so
@@ -39,7 +39,7 @@ import (
 	"sync/atomic"
 )
 
-// Snapshot is one published epoch: an immutable graph (CSR built) plus, when
+// Snapshot is one published epoch: an immutable graph plus, when
 // the store has label roots, a fully built hub-label tier. A Snapshot is
 // obtained pinned from SnapshotStore.Acquire and MUST be released; between
 // Acquire and Release any number of goroutines may read it, each through its
@@ -283,7 +283,6 @@ func (st *SnapshotStore) syncBuf(buf *snapshotBuf, live *Graph) {
 		}
 	}
 	buf.seq = live.MutationSeq()
-	buf.g.csrEnsure()
 	st.stats.IncrementalBuilds++
 	st.syncCapacities(buf, live)
 }
@@ -309,7 +308,6 @@ func applyMutation(g *Graph, m Mutation, live *Graph) bool {
 // rebuildBuf replaces the buffer's graph with a full clone of live.
 func (st *SnapshotStore) rebuildBuf(buf *snapshotBuf, live *Graph, resync bool) {
 	buf.g = live.Clone()
-	buf.g.csrEnsure()
 	buf.hl = nil // labels were bound to the old graph object
 	buf.seq = live.MutationSeq()
 	buf.capSeq = live.CapMutations()
@@ -340,49 +338,56 @@ func (st *SnapshotStore) syncCapacities(buf *snapshotBuf, live *Graph) {
 	buf.capSeq = live.CapMutations()
 }
 
-// ValidateSnapshot checks the internal consistency of a snapshot graph: the
-// CSR arc layout must mirror the adjacency lists (same arcs, same order,
-// same capacities), spans must be in bounds and edge positions aligned.
-// Readers in the concurrency tests call it to prove they never observe a
-// half-applied mutation; it is exported because the serving-layer tests
-// (outside this package) assert the same invariant.
+// ValidateSnapshot checks the internal consistency of a snapshot graph's
+// packed adjacency against the order rule (see csr.go): every node's region
+// lies in bounds and lists live incident edges in strictly ascending id,
+// each arc leads to the edge's other endpoint and carries its current
+// directional capacity, pos locates every arc, and the arcs number two per
+// live edge. Readers in the concurrency tests call it to prove they never
+// observe a half-applied mutation; it is exported because the serving-layer
+// tests (outside this package) assert the same invariant.
 func ValidateSnapshot(g *Graph) error {
-	if !g.csr.ok {
-		return fmt.Errorf("graph: snapshot published without CSR")
-	}
 	c := &g.csr
-	if len(c.span) != len(g.adj) {
-		return fmt.Errorf("graph: CSR has %d spans for %d nodes", len(c.span), len(g.adj))
+	if len(c.caps) != len(c.slab) || len(c.pos) != len(g.edges) {
+		return fmt.Errorf("graph: CSR columns misaligned: slab %d, caps %d, pos %d for %d edges",
+			len(c.slab), len(c.caps), len(c.pos), len(g.edges))
 	}
-	live := 0
-	for u := range g.adj {
-		s := c.span[u]
-		if s.off < 0 || int(s.off+s.n) > len(c.slab) {
-			return fmt.Errorf("graph: node %d span [%d,%d) exceeds slab %d", u, s.off, s.off+s.n, len(c.slab))
+	arcs := 0
+	for u, s := range c.span {
+		if s.off < 0 || s.n < 0 || s.n > s.cap || int(s.off+s.cap) > len(c.slab) {
+			return fmt.Errorf("graph: node %d span {off %d, n %d, cap %d} invalid in slab %d", u, s.off, s.n, s.cap, len(c.slab))
 		}
-		if int(s.n) != len(g.adj[u]) {
-			return fmt.Errorf("graph: node %d has %d arcs in CSR, %d in adjacency", u, s.n, len(g.adj[u]))
-		}
-		for i, eid := range g.adj[u] {
-			arc := c.slab[s.off+int32(i)]
-			if EdgeID(uint32(arc)) != eid {
-				return fmt.Errorf("graph: node %d arc %d is edge %d in CSR, %d in adjacency", u, i, uint32(arc), eid)
+		prev := EdgeID(-1)
+		for i := s.off; i < s.off+s.n; i++ {
+			eid := c.slab[i].Edge()
+			if eid <= prev || int(eid) >= len(g.edges) {
+				return fmt.Errorf("graph: node %d arc %d is edge %d after edge %d (want ascending ids below %d)", u, i-s.off, eid, prev, len(g.edges))
 			}
+			prev = eid
 			e := g.edges[eid]
 			if g.removed[eid] {
 				return fmt.Errorf("graph: node %d lists removed edge %d", u, eid)
 			}
-			if NodeID(arc>>32) != e.Other(NodeID(u)) {
+			side, to, capOut := 0, e.V, e.CapFwd
+			if e.V == NodeID(u) {
+				side, to, capOut = 1, e.U, e.CapRev
+			} else if e.U != NodeID(u) {
+				return fmt.Errorf("graph: node %d lists edge %d, which it is not an endpoint of", u, eid)
+			}
+			if c.slab[i].To() != to {
 				return fmt.Errorf("graph: edge %d arc target mismatch at node %d", eid, u)
 			}
-			if c.caps[s.off+int32(i)] != e.Capacity(NodeID(u)) {
+			if c.caps[i] != capOut {
 				return fmt.Errorf("graph: edge %d capacity column stale at node %d", eid, u)
 			}
-			live++
+			if c.pos[eid][side] != i {
+				return fmt.Errorf("graph: edge %d side %d: pos %d, arc at %d", eid, side, c.pos[eid][side], i)
+			}
+			arcs++
 		}
 	}
-	if live != 2*g.numLive {
-		return fmt.Errorf("graph: %d arcs listed, %d live edges", live, g.numLive)
+	if arcs != 2*g.numLive {
+		return fmt.Errorf("graph: %d arcs listed, %d live edges", arcs, g.numLive)
 	}
 	return nil
 }

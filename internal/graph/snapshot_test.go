@@ -128,13 +128,13 @@ func assertSnapshotMatchesLive(t *testing.T, snap, live *Graph) {
 			live.NumNodes(), live.NumEdges(), live.NumLiveEdges())
 	}
 	for u := 0; u < live.NumNodes(); u++ {
-		sa, la := snap.Incident(NodeID(u)), live.Incident(NodeID(u))
+		sa, la := snap.Arcs(NodeID(u)), live.Arcs(NodeID(u))
 		if len(sa) != len(la) {
 			t.Fatalf("node %d: %d vs %d incident edges", u, len(sa), len(la))
 		}
 		for i := range la {
 			if sa[i] != la[i] {
-				t.Fatalf("node %d arc %d: edge %d vs %d (order must match)", u, i, sa[i], la[i])
+				t.Fatalf("node %d arc %d: edge %d vs %d (order must match)", u, i, sa[i].Edge(), la[i].Edge())
 			}
 		}
 	}

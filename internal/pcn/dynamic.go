@@ -162,9 +162,9 @@ func (n *Network) DepartNode(v graph.NodeID) error {
 	n.pauseSpeculation()
 	defer n.resumeSpeculation()
 	n.departed[v] = true
-	// CloseChannel mutates adjacency; snapshot the incident list first.
-	for _, eid := range append([]graph.EdgeID(nil), n.g.Incident(v)...) {
-		if err := n.CloseChannel(eid); err != nil {
+	// CloseChannel compacts v's arcs in place; close from a copy.
+	for _, a := range append([]graph.Arc(nil), n.g.Arcs(v)...) {
+		if err := n.CloseChannel(a.Edge()); err != nil {
 			return err
 		}
 	}

@@ -460,9 +460,8 @@ func (n *Network) ReshapeMultiStar() {
 		funds := 0.0
 		deg := n.g.Degree(client)
 		if deg > 0 {
-			for _, eid := range n.g.Incident(client) {
-				e := n.g.Edge(eid)
-				funds += e.Capacity(client)
+			for _, a := range n.g.Arcs(client) {
+				funds += n.g.Edge(a.Edge()).Capacity(client)
 			}
 			funds /= float64(deg)
 		}
@@ -500,7 +499,8 @@ func (n *Network) CapitalizeHubs() {
 	n.pauseSpeculation()
 	defer n.resumeSpeculation()
 	for _, h := range n.hubs {
-		for _, eid := range n.g.Incident(h) {
+		for _, a := range n.g.Arcs(h) {
+			eid := a.Edge()
 			if n.boosted[eid] {
 				continue
 			}

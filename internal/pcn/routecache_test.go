@@ -112,7 +112,7 @@ type reshapePolicy struct {
 func (p *reshapePolicy) Setup(n *Network) error {
 	p.keyBeforeReshape = RouteKey{Src: 0, Dst: 1, Type: routing.KSP, K: 1}
 	if _, err := n.Routes().GetOrCompute(p.keyBeforeReshape, func() ([]graph.Path, error) {
-		pa, ok := n.Graph().ShortestPath(0, 1, graph.UnitWeight)
+		pa, ok := graph.NewPathFinder(n.Graph()).ShortestPath(0, 1, graph.UnitWeight)
 		if !ok {
 			return nil, fmt.Errorf("0-1 unreachable")
 		}
@@ -131,7 +131,7 @@ func (p *reshapePolicy) Setup(n *Network) error {
 }
 
 func (p *reshapePolicy) Plan(n *Network, tx workload.Tx) ([]graph.Path, []Allocation, error) {
-	pa, ok := n.Graph().ShortestPath(tx.Sender, tx.Recipient, graph.UnitWeight)
+	pa, ok := graph.NewPathFinder(n.Graph()).ShortestPath(tx.Sender, tx.Recipient, graph.UnitWeight)
 	if !ok {
 		return nil, nil, nil
 	}

@@ -71,8 +71,8 @@ func concatPaths(parts ...graph.Path) graph.Path {
 // open/close, node churn) it falls back to a fresh BalanceView. The returned
 // view is value-identical to BalanceView() either way.
 func (n *Network) RefreshBalanceView(view *graph.Graph, shape *uint64) *graph.Graph {
-	if view == nil || *shape != n.g.Mutations() {
-		*shape = n.g.Mutations()
+	if view == nil || *shape != n.g.MutationSeq() {
+		*shape = n.g.MutationSeq()
 		return n.BalanceView()
 	}
 	for i, ch := range n.chans {

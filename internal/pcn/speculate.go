@@ -152,9 +152,6 @@ func (sp *specSession) enqueue(tx workload.Tx) {
 	if !sp.started {
 		sp.started = true
 		sp.closing = false
-		// The one-time lazy CSR build must not race the workers' private
-		// finders; force it from the serial goroutine before any start.
-		sp.n.g.EnsureCSR()
 		for i := 0; i < sp.workers; i++ {
 			w := sp.newWorker()
 			sp.wg.Add(1)

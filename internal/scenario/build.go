@@ -65,6 +65,11 @@ func (s Spec) beginBuild() (*buildState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: topology: %w", err)
 	}
+	if t.Type == TopoSnapshot {
+		if err := n.checkHubCandidates(st.g.NumNodes()); err != nil {
+			return nil, err
+		}
+	}
 	return st, nil
 }
 

@@ -20,17 +20,17 @@ type Footprint struct {
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
 	// ApproxBytes is an order-of-magnitude estimate of one simulation
-	// cell's resident state: graph + packed CSR mirror, channels with queue
-	// headroom, path-finder scratch, route cache and label trees. Parallel
-	// sweep workers each hold their own cell.
+	// cell's resident state: graph with its packed CSR adjacency, channels
+	// with queue headroom, path-finder scratch, route cache and label
+	// trees. Parallel sweep workers each hold their own cell.
 	ApproxBytes int64 `json:"approx_bytes"`
 }
 
 // ApproxMB returns ApproxBytes in mebibytes, rounded up.
 func (f Footprint) ApproxMB() int64 { return (f.ApproxBytes + (1 << 20) - 1) >> 20 }
 
-// Per-node and per-edge accounting behind ApproxBytes. Node state: adjacency
-// slice headers, CSR spans, finder scratch (state/dist/prev arrays), label
+// Per-node and per-edge accounting behind ApproxBytes. Node state: CSR
+// spans, finder scratch (state/dist/prev arrays), label
 // tree rows, hub bookkeeping. Edge state: the graph edge, two packed CSR
 // arcs with capacities and positions, the channel struct with queue
 // headroom, cached paths. Calibrated against heap profiles of the figscale

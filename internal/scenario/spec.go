@@ -368,11 +368,10 @@ func (s Spec) Validate() error {
 		s.Routing.PlacementOmega < 0 || s.Routing.MaxInFlightTUs < 0 || s.Routing.Parallelism < 0 {
 		return fmt.Errorf("scenario: routing overrides must be >= 0")
 	}
-	// Placement draws candidates from at most half the live nodes and would
-	// silently clamp a larger list.
-	if nodes > 0 && s.Routing.HubCandidates > nodes/2 {
-		return fmt.Errorf("scenario: hub_candidates %d exceeds half of the %d nodes (placement would clamp it to %d)",
-			s.Routing.HubCandidates, nodes, nodes/2)
+	if nodes > 0 {
+		if err := s.checkHubCandidates(nodes); err != nil {
+			return err
+		}
 	}
 	if r := s.Routing.Retry; r != nil {
 		if r.MaxAttempts < 2 {
@@ -505,6 +504,19 @@ func (s Spec) attackConfig() attack.Config {
 		cfg.TopK = int(a.Intensity + 0.5)
 	}
 	return cfg
+}
+
+// checkHubCandidates refuses a hub_candidates list longer than half of the
+// topology's nodes: placement draws candidates from at most half the live
+// nodes and would silently clamp a larger list. Validate applies it to the
+// node count a generator spec states; the build applies it to a loaded
+// snapshot, whose size only the asset knows.
+func (s Spec) checkHubCandidates(nodes int) error {
+	if s.Routing.HubCandidates > nodes/2 {
+		return fmt.Errorf("scenario: hub_candidates %d exceeds half of the %d nodes (placement would clamp it to %d)",
+			s.Routing.HubCandidates, nodes, nodes/2)
+	}
+	return nil
 }
 
 // hubCandidates is the candidate-list bound used by the placement panels.

@@ -76,6 +76,22 @@ func TestSpecValidate(t *testing.T) {
 	if err := hc.Validate(); err == nil || !strings.Contains(err.Error(), "hub_candidates") {
 		t.Errorf("hub_candidates past half the nodes: err = %v, want a hub_candidates reason", err)
 	}
+
+	// A snapshot spec states no node count, so Validate cannot see the
+	// limit; the build refuses it, with the same reason, once the asset is
+	// loaded (the 80-node ln-small snapshot).
+	hs := ReplaySnapshotSpec()
+	hs.Routing.HubCandidates = 40
+	if _, _, err := hs.Build(); err != nil {
+		t.Errorf("snapshot hub_candidates at half the nodes refused: %v", err)
+	}
+	hs.Routing.HubCandidates++
+	if err := hs.Validate(); err != nil {
+		t.Errorf("snapshot hub_candidates refused before the asset is loaded: %v", err)
+	}
+	if _, _, err := hs.Build(); err == nil || !strings.Contains(err.Error(), "hub_candidates") {
+		t.Errorf("snapshot hub_candidates past half the nodes: err = %v, want a hub_candidates reason", err)
+	}
 }
 
 func TestSpecJSONRoundTrip(t *testing.T) {

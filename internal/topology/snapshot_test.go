@@ -137,7 +137,7 @@ func TestHierarchicalHubSpoke(t *testing.T) {
 		if d := g.Degree(graph.NodeID(i)); d != 1 {
 			t.Fatalf("leaf %d degree %d, want 1", i, d)
 		}
-		e := g.Edge(g.Incident(graph.NodeID(i))[0])
+		e := g.Edge(g.Arcs(graph.NodeID(i))[0].Edge())
 		hub := e.Other(graph.NodeID(i))
 		if hub < 3 || hub >= 9 {
 			t.Fatalf("leaf %d attached to node %d, want a mid-tier hub in [3,9)", i, hub)

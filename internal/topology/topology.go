@@ -367,8 +367,8 @@ func TopDegreeNodesOf(g *graph.Graph, ids []graph.NodeID, k int) []graph.NodeID 
 // channels incident to u.
 func TotalFunds(g *graph.Graph, u graph.NodeID) float64 {
 	total := 0.0
-	for _, eid := range g.Incident(u) {
-		e := g.Edge(eid)
+	for _, a := range g.Arcs(u) {
+		e := g.Edge(a.Edge())
 		total += e.CapFwd + e.CapRev
 	}
 	return total

@@ -157,7 +157,7 @@ func TestMultiStar(t *testing.T) {
 		if g.Degree(graph.NodeID(i)) != 1 {
 			t.Fatalf("client %d degree = %d", i, g.Degree(graph.NodeID(i)))
 		}
-		e := g.Edge(g.Incident(graph.NodeID(i))[0])
+		e := g.Edge(g.Arcs(graph.NodeID(i))[0].Edge())
 		other := e.Other(graph.NodeID(i))
 		if int(other) >= 4 {
 			t.Fatalf("client %d attached to non-hub %d", i, other)
